@@ -10,8 +10,7 @@ matrix lifts through the conditional expectation, and SU(1,1) conjugations
 reducing arbitrary finite automorphism groups to rotations.
 """
 from .algebra import (AlgMatrix, CrossedElement, GroupSpec, convolve,
-                      det_on_circle, expectation, index_element, l1_norm,
-                      matrix_embedding, matrix_norm_checks, quasi_basis,
+                      det_on_circle, expectation, index_element, matrix_embedding, matrix_norm_checks, quasi_basis,
                       reconstruct)
 from .bounds import BoundsReport, stable_rank_bounds
 from .elimination import (BezoutCertificate, EliminationTrace, ScalingReport,
@@ -30,9 +29,9 @@ from .moebius import (ConjugationResult, FiniteCyclicSubgroup, RotationAction,
                       SL2RMatrix, SU11Element, average_gram,
                       conjugate_into_rotations, from_sl2r, make_finite_subgroup,
                       mobius_apply, nearest_rotation, rotation_action_of,
-                      to_sl2r)
+                      to_sl2r, verify_conjugation)
 from .poly import (CirclePath, Poly, circle_points, rotate, roots,
-                   sylvester_bezout, wiener_norm, winding_number)
+                   sylvester_bezout, winding_number)
 from .randomness import (random_crossed, random_poly, random_su11,
                          seeded_generator)
 

@@ -29,6 +29,7 @@ from .poly import CirclePath, Poly, circle_points, rotate
 
 OMEGA_UNITY_TOL = 1e-12
 DET_FLOOR = 1e-12
+NORM_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -108,11 +109,6 @@ class CrossedElement:
         comps[g % spec.n] = f
         return cls(spec, comps)
 
-    @classmethod
-    def from_poly(cls, spec: GroupSpec, f: Poly) -> CrossedElement:
-        """Embed a subalgebra element as the identity-component coefficient."""
-        return cls.monomial(spec, 0, f)
-
     # -- structure
 
     def component(self, g: int) -> Poly:
@@ -185,10 +181,6 @@ def convolve(x: CrossedElement, y: CrossedElement) -> CrossedElement:
                 continue
             comps[g] = comps[g] + fh * spec.twist(yg, h)
     return CrossedElement(spec, comps)
-
-
-def l1_norm(x: CrossedElement) -> float:
-    return x.l1_norm()
 
 
 def expectation(x: CrossedElement) -> CrossedElement:
@@ -365,41 +357,33 @@ class AlgMatrix:
 
 @dataclass(frozen=True)
 class MatrixNormReport:
-    """Concrete norm facts for a matrix: the summed norm is squeezed between
-    the max entry norm (constant 1) and the plain entry-norm sum (equality),
-    and is submultiplicative when a second factor is supplied."""
+    """Concrete norm facts for a matrix: the summed norm dominates the max
+    entry norm, and is submultiplicative when a second factor is supplied."""
 
     max_entry_norm: float
     l1_norm: float
-    entry_norm_sum: float
     lower_ok: bool
-    upper_ok: bool
     product_norm: float | None = None
     product_bound: float | None = None
     submultiplicative_ok: bool | None = None
 
     @property
     def ok(self) -> bool:
-        checks = [self.lower_ok, self.upper_ok]
-        if self.submultiplicative_ok is not None:
-            checks.append(self.submultiplicative_ok)
-        return all(checks)
+        return self.lower_ok and self.submultiplicative_ok is not False
 
 
-def matrix_norm_checks(mat: AlgMatrix, other: AlgMatrix | None = None,
-                       slack: float = 1e-12) -> MatrixNormReport:
+def matrix_norm_checks(mat: AlgMatrix, other: AlgMatrix | None = None) -> MatrixNormReport:
     total = mat.norm_l1()
     biggest = mat.max_entry_norm()
     report = dict(
         max_entry_norm=biggest,
         l1_norm=total,
-        entry_norm_sum=total,
-        lower_ok=biggest <= total * (1.0 + slack) + slack,
-        upper_ok=True,
+        lower_ok=biggest <= total * (1.0 + NORM_SLACK) + NORM_SLACK,
     )
     if other is not None:
         product_norm = (mat * other).norm_l1()
         bound = total * other.norm_l1()
-        report.update(product_norm=product_norm, product_bound=bound,
-                      submultiplicative_ok=product_norm <= bound * (1.0 + slack) + slack)
+        report.update(
+            product_norm=product_norm, product_bound=bound,
+            submultiplicative_ok=product_norm <= bound * (1.0 + NORM_SLACK) + NORM_SLACK)
     return MatrixNormReport(**report)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import serialize
@@ -21,19 +21,12 @@ from .bounds import stable_rank_bounds
 from .elimination import (VerificationReport, bezout_certificate, verify_bezout,
                           verify_winding, winding_obstruction)
 from .errors import ToolkitError
-from .moebius import conjugation_residual, make_finite_subgroup, rotation_action_of
+from .moebius import CONJUGATION_TOL, make_finite_subgroup, rotation_action_of
 from .randomness import random_crossed, random_su11, seeded_generator
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
 EXIT_MATH = 2
-
-DEFAULT_TOLERANCES = {
-    "certificate": 1e-6,
-    "bezout_residual": 1e-8,
-    "verify_agreement": 1e-9,
-    "conjugation": 1e-8,
-}
 
 
 @dataclass(frozen=True)
@@ -46,7 +39,6 @@ class RunConfig:
     degree_cap: int = 4
     epsilon: float = 0.1
     samples: int = 1024
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -55,8 +47,6 @@ class RunConfig:
             raise ValueError("degree cap must be nonnegative")
         if self.samples < 64 or self.samples & (self.samples - 1):
             raise ValueError("samples must be a power of two, at least 64")
-        if any(t <= 0 for t in self.tolerances.values()):
-            raise ValueError("tolerances must be positive")
 
 
 def _config(args) -> RunConfig:
@@ -103,35 +93,10 @@ def _cmd_cert_lower(args) -> int:
     return EXIT_OK
 
 
-def _verify_conjugation(obj) -> VerificationReport:
-    subgroup = serialize.subgroup_from_obj(obj["subgroup"])
-    h = serialize.su11_from_obj(obj["h"])
-    residual, _ = conjugation_residual(subgroup, h)
-    failures = []
-    if residual >= DEFAULT_TOLERANCES["conjugation"]:
-        failures.append(f"conjugation residual {residual:.3e} >= 1e-08")
-    if abs(residual - float(obj["residual"])) > DEFAULT_TOLERANCES["verify_agreement"]:
-        failures.append("stored residual disagrees with recomputed value")
-    derived = obj["derived_spec"]
-    GroupSpec(int(derived["n"]), int(derived["m"]))  # validates primitivity
-    return VerificationReport(kind="conjugation", ok=not failures,
-                              failures=tuple(failures),
-                              recomputed={"residual": residual})
-
-
 def _cmd_verify(args) -> int:
     worst = EXIT_OK
     for path in args.certificate:
-        obj = serialize.read_file(path)
-        kind = obj.get("type") if isinstance(obj, dict) else None
-        if kind == "bezout":
-            report = verify_bezout(serialize.bezout_from_obj(obj))
-        elif kind == "winding":
-            report = verify_winding(serialize.winding_from_obj(obj))
-        elif kind == "conjugation":
-            report = _verify_conjugation(obj)
-        else:
-            raise ValueError(f"{path}: unknown certificate type {kind!r}")
+        report = serialize.verify_obj(serialize.read_file(path))
         if not report.ok:
             _report_failures(report, str(path))
             worst = EXIT_MATH
@@ -160,7 +125,7 @@ def _cmd_conjugate(args) -> int:
     action = rotation_action_of(subgroup)
     out = serialize.write_file(args.out,
                                serialize.rotation_action_to_obj(action, subgroup))
-    if action.conjugation.residual >= DEFAULT_TOLERANCES["conjugation"]:
+    if not action.conjugation.residual < CONJUGATION_TOL:
         print(f"{out}: conjugation residual {action.conjugation.residual:.3e}",
               file=sys.stderr)
         return EXIT_MATH

@@ -182,13 +182,14 @@ def _min_separation(points: Iterable[complex], avoid: Iterable[complex]) -> floa
 def perturb_avoiding(a: CrossedElement, avoid: Iterable[complex], eps: float,
                      rng: np.random.Generator,
                      max_attempts: int = PERTURB_MAX_ATTEMPTS,
-                     force: bool = False) -> CrossedElement:
+                     force: bool = False) -> EliminationTrace:
     """Nudge the constant coefficient of ``a_0`` until the top-stage roots
     clear the set ``avoid``.
 
-    Returns ``b`` with ``|a - b| < eps``, differing from ``a`` only in the
-    constant coefficient of the identity component, whose top stage is
-    nonzero with every root at distance greater than
+    Returns the elimination trace of ``b`` (``b`` is its ``input``) with
+    ``|a - b| < eps``, differing from ``a`` only in the constant
+    coefficient of the identity component, whose top stage is nonzero
+    with every root at distance greater than
     ``1e-4 * (1 + max|avoid|)`` from every avoided point.  The unperturbed
     input is accepted when it already qualifies, unless ``force`` asks for
     a fresh draw.  Attempt ``t`` adds a uniformly random phase of modulus
@@ -203,31 +204,32 @@ def perturb_avoiding(a: CrossedElement, avoid: Iterable[complex], eps: float,
 
     best_sep: float | None = None
 
-    def admissible(candidate: CrossedElement) -> bool:
+    def admissible(candidate: CrossedElement) -> EliminationTrace | None:
         nonlocal best_sep
-        top = eliminate(candidate).top_poly
+        trace = eliminate(candidate)
+        top = trace.top_poly
         if top.is_zero:
-            return False
-        if not avoid:
-            return True
-        if top.degree == 0:
-            return True
+            return None
+        if not avoid or top.degree == 0:
+            return trace
         sep = _min_separation(roots(top), avoid)
         if best_sep is None or sep > best_sep:
             best_sep = sep
-        return sep > threshold
+        return trace if sep > threshold else None
 
-    if not force and admissible(a):
-        return a
+    if not force:
+        trace = admissible(a)
+        if trace is not None:
+            return trace
 
     for t in range(1, max_attempts + 1):
         modulus = 0.5 * eps * (1.0 - t / 128.0)
         shift = modulus * np.exp(2j * np.pi * rng.uniform())
         comps = list(a.comps)
         comps[0] = comps[0] + Poly.constant(shift)
-        candidate = CrossedElement(spec, comps)
-        if admissible(candidate):
-            return candidate
+        trace = admissible(CrossedElement(spec, comps))
+        if trace is not None:
+            return trace
 
     raise PerturbationExhausted(
         f"no admissible perturbation within {max_attempts} attempts "
@@ -255,7 +257,6 @@ class BezoutCertificate:
     residual: float
     distance_x: float
     distance_y: float
-    tolerance: float = CERTIFICATE_TOL
     seed: int | None = None
 
     @property
@@ -291,13 +292,11 @@ def bezout_certificate(x: CrossedElement, y: CrossedElement, eps: float,
     last: CoprimalityFailure | None = None
     for attempt in range(max_retries):
         fresh = attempt > 0
-        a = perturb_avoiding(x, (), half, rng, force=fresh)
-        trace_a = eliminate(a)
-        fa = trace_a.top_poly
+        trace_a = perturb_avoiding(x, (), half, rng, force=fresh)
+        a, fa = trace_a.input, trace_a.top_poly
         avoid = roots(fa) if fa.degree >= 1 else []
-        b = perturb_avoiding(y, avoid, half, rng, force=fresh)
-        trace_b = eliminate(b)
-        fb = trace_b.top_poly
+        trace_b = perturb_avoiding(y, avoid, half, rng, force=fresh)
+        b, fb = trace_b.input, trace_b.top_poly
 
         try:
             p, q = sylvester_bezout(fa, fb)
@@ -337,16 +336,16 @@ def verify_bezout(cert: BezoutCertificate) -> VerificationReport:
                 - CrossedElement.unit(cert.spec)).l1_norm()
     dist_x = (cert.x - cert.a).l1_norm()
     dist_y = (cert.y - cert.b).l1_norm()
-    if residual >= cert.tolerance:
-        failures.append(f"residual {residual:.3e} >= tolerance {cert.tolerance:.0e}")
-    if dist_x >= cert.epsilon:
+    if not residual < CERTIFICATE_TOL:
+        failures.append(f"residual {residual:.3e} >= tolerance {CERTIFICATE_TOL:.0e}")
+    if not dist_x < cert.epsilon:
         failures.append(f"x-distance {dist_x:.3e} >= epsilon {cert.epsilon}")
-    if dist_y >= cert.epsilon:
+    if not dist_y < cert.epsilon:
         failures.append(f"y-distance {dist_y:.3e} >= epsilon {cert.epsilon}")
     for name, fresh, stored in (("residual", residual, cert.residual),
                                 ("distance_x", dist_x, cert.distance_x),
                                 ("distance_y", dist_y, cert.distance_y)):
-        if abs(fresh - stored) > VERIFY_AGREEMENT_TOL:
+        if not abs(fresh - stored) <= VERIFY_AGREEMENT_TOL:
             failures.append(
                 f"stored {name} {stored:.12e} disagrees with recomputed {fresh:.12e}")
     return VerificationReport(
@@ -375,28 +374,31 @@ class WindingObstruction:
         return self.element.spec
 
 
-def _margin_holds(n: int, delta: float, exponent: int) -> bool:
-    return (1.0 - delta) ** exponent > math.factorial(n) * delta ** exponent
+def _check_margin(n: int, delta: float) -> None:
+    """Reject a perturbation margin the obstruction cannot certify.
+
+    ``delta`` must lie in ``(0, 1)`` and satisfy
+    ``(1 - delta)**n > n! * delta**n``; the generator and the verifier both
+    call this, so a stored obstruction is held to the same guard.
+    """
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta={delta} does not lie in (0, 1)")
+    if not (1.0 - delta) ** n > math.factorial(n) * delta ** n:
+        raise ValueError(
+            f"margin (1-delta)^{n} > {n}! * delta^{n} fails for delta={delta}")
 
 
 def winding_obstruction(spec: GroupSpec, delta: float, rng: np.random.Generator,
                         samples: int = 1024, trials: int = 10,
-                        margin_exponent: int | None = None,
                         seed: int | None = None) -> WindingObstruction:
     """Build the obstruction for ``z * delta^0`` over the given group.
 
-    Checks the margin ``(1 - delta)**e > n! * delta**e`` (``e`` defaults to
-    the group order), computes the determinant loop winding at ``samples``
-    and ``4 * samples`` points, and confirms the count survives ``trials``
-    random perturbations of summed norm below ``delta``.
+    Checks the margin with ``_check_margin``, computes the determinant loop
+    winding at ``samples`` and ``4 * samples`` points, and confirms the
+    count survives ``trials`` random perturbations of summed norm below
+    ``delta``.
     """
-    if delta <= 0 or delta >= 1:
-        raise ValueError("delta must lie in (0, 1)")
-    exponent = spec.n if margin_exponent is None else margin_exponent
-    if not _margin_holds(spec.n, delta, exponent):
-        raise ValueError(
-            f"margin (1-delta)^{exponent} > {spec.n}! * delta^{exponent} fails "
-            f"for delta={delta}")
+    _check_margin(spec.n, delta)
 
     element = CrossedElement.monomial(spec, 0, Poly.monomial(1))
     path = det_on_circle(matrix_embedding(element), samples)
@@ -444,6 +446,7 @@ def verify_winding(obs: WindingObstruction) -> VerificationReport:
     failures = []
     recomputed: dict[str, float] = {}
     try:
+        _check_margin(obs.spec.n, obs.delta)
         path = det_on_circle(matrix_embedding(obs.element), obs.samples)
         w = winding_number(path)
         w_fine = winding_number(
@@ -454,7 +457,7 @@ def verify_winding(obs: WindingObstruction) -> VerificationReport:
             failures.append(f"stored winding {obs.winding} != recomputed {w}")
         if w_fine != obs.winding:
             failures.append(f"winding changed at 4x samples: {w_fine}")
-        if abs(path.min_modulus - obs.circle_min) > VERIFY_AGREEMENT_TOL:
+        if not abs(path.min_modulus - obs.circle_min) <= VERIFY_AGREEMENT_TOL:
             failures.append(
                 f"stored circle minimum {obs.circle_min:.12e} disagrees with "
                 f"recomputed {path.min_modulus:.12e}")
@@ -463,7 +466,7 @@ def verify_winding(obs: WindingObstruction) -> VerificationReport:
                 f"winding {obs.winding} differs from group order {obs.spec.n}")
         if any(tw != obs.winding for tw in obs.trial_windings):
             failures.append("a perturbation trial changed the winding count")
-    except Exception as exc:  # determinant through zero, undersampled, ...
+    except Exception as exc:  # margin, determinant through zero, undersampled, ...
         failures.append(f"recomputation failed: {exc}")
     return VerificationReport(
         kind="winding", ok=not failures, failures=tuple(failures),

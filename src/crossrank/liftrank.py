@@ -7,8 +7,8 @@ elementary row operations, recurse on the remaining block, and transport
 the result (and its left inverse) back through the explicit elementary
 factors.  The only oracle shipped is ``disk_column_oracle`` for polynomial
 columns, which realizes the base case available in the disk-algebra model
-(pairs are dense among generating pairs); the machinery itself is generic
-over any column densifier honouring the same contract.
+(pairs are dense among generating pairs); the lift works on matrices of
+polynomials and accepts any column densifier honouring the same contract.
 
 ``lift_generating_tuple`` feeds the lift with the expectation matrix of a
 tuple of crossed-product elements, producing a nearby generating tuple
@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import AlgMatrix, CrossedElement, entry_norm, expectation
+from .algebra import AlgMatrix, CrossedElement, expectation
 from .errors import CoprimalityFailure, OracleFailure, PerturbationExhausted
 from .poly import Poly, poly_divmod, roots, sylvester_bezout
 
@@ -79,30 +79,6 @@ def _apply_right(op: ElementaryOp, rows: list[list]) -> None:
         row[op.j] = row[op.j] + row[op.i] * op.value
 
 
-def _one_like(entry):
-    if isinstance(entry, Poly):
-        return Poly.one()
-    if isinstance(entry, CrossedElement):
-        return CrossedElement.unit(entry.spec)
-    raise TypeError(f"unsupported entry type {type(entry)!r}")
-
-
-def _const_like(entry, value: complex):
-    if isinstance(entry, Poly):
-        return Poly.constant(value)
-    if isinstance(entry, CrossedElement):
-        return CrossedElement.monomial(entry.spec, 0, Poly.constant(value))
-    raise TypeError(f"unsupported entry type {type(entry)!r}")
-
-
-def _zero_like(entry):
-    if isinstance(entry, Poly):
-        return Poly.zero()
-    if isinstance(entry, CrossedElement):
-        return CrossedElement.zero(entry.spec)
-    raise TypeError(f"unsupported entry type {type(entry)!r}")
-
-
 @dataclass(frozen=True)
 class LiftResult:
     """A left-invertible matrix near the input, with its explicit witness."""
@@ -144,8 +120,6 @@ def _choose_clearing_row(sub_entries: list[Poly], scale: Poly,
     does not reproduce the constraint tightly.
     """
     if all(f.is_zero for f in fallback):
-        return fallback
-    if not all(isinstance(f, Poly) for f in fallback):
         return fallback
     width = len(sub_entries)
     ncoef = max(f.degree for f in fallback if not f.is_zero) + 1
@@ -272,7 +246,7 @@ def disk_column_oracle(column: Sequence[Poly], eps: float, rng: np.random.Genera
     root, because the fold consumes coprime pairs; it implies the weaker
     condition.
     """
-    entries = [e if isinstance(e, Poly) else Poly.constant(e) for e in column]
+    entries = list(column)
     width = len(entries)
     if width < 2:
         raise ValueError("column oracle needs at least two entries")
@@ -348,8 +322,6 @@ def _tame_block_column(ops: list[ElementaryOp], work: list[list],
     scale of the input.  Reductions with oversized quotients are skipped;
     division by near-constant pivots is already well conditioned.
     """
-    if not all(isinstance(row[1], Poly) for row in work[1:]):
-        return
     rows = len(work)
     for _ in range(max_sweeps):
         live = [(l, work[l][1]) for l in range(1, rows) if not work[l][1].is_zero]
@@ -385,7 +357,7 @@ def _tame_block_column(ops: list[ElementaryOp], work: list[list],
 
 def left_invertible_lift(mat: AlgMatrix, eps: float, oracle: ColumnOracle,
                          rng: np.random.Generator, polish: bool = True) -> LiftResult:
-    """Approximate a tall matrix by a left-invertible one within ``eps``.
+    """Approximate a tall polynomial matrix by a left-invertible one within ``eps``.
 
     Induction on the width: the base case hands the whole single column to
     the oracle; otherwise the tail of column one is densified (budget
@@ -440,9 +412,7 @@ def _polish_left_inverse(result: LiftResult, mat: AlgMatrix) -> LiftResult:
     for the iteration to converge to working precision.
     """
     output = result.output
-    one = _one_like(output.entry(0, 0))
-    zero = _zero_like(output.entry(0, 0))
-    identity = AlgMatrix.identity(output.cols, one, zero)
+    identity = AlgMatrix.identity(output.cols, Poly.one(), Poly.zero())
     z = result.left_inverse
     residual = (z * output - identity).norm_l1()
     for _ in range(POLISH_ROUNDS):
@@ -458,18 +428,16 @@ def _polish_left_inverse(result: LiftResult, mat: AlgMatrix) -> LiftResult:
 
 def _lift_base(mat: AlgMatrix, eps: float, oracle: ColumnOracle,
                rng: np.random.Generator) -> LiftResult:
-    grid = mat.to_lists()
-    one = _one_like(grid[0][0])
-    column = [grid[i][0] for i in range(mat.rows)]
+    column = [row[0] for row in mat.entries]
     try:
         new_col, brow = oracle(column, eps, rng)
     except PerturbationExhausted as exc:
         raise OracleFailure(f"column oracle failed: {exc}", level=1) from exc
     output = AlgMatrix([[e] for e in new_col])
     left_inverse = AlgMatrix([list(brow)])
-    residual = entry_norm(
-        functools.reduce(operator.add, (d * c for d, c in zip(brow, new_col))) - one)
-    distance = sum(entry_norm(n - o) for n, o in zip(new_col, column))
+    residual = (functools.reduce(operator.add, (d * c for d, c in zip(brow, new_col)))
+                - Poly.one()).wiener_norm()
+    distance = sum((n - o).wiener_norm() for n, o in zip(new_col, column))
     return LiftResult(output, left_inverse, float(distance), float(residual))
 
 
@@ -486,15 +454,14 @@ def _lift_step(mat: AlgMatrix, eps: float, oracle: ColumnOracle,
         perm = list(range(rows))
     source = mat.to_lists()
     grid = [list(source[p]) for p in perm]
-    one = _one_like(grid[0][0])
-    zero = _zero_like(grid[0][0])
+    one, zero = Poly.one(), Poly.zero()
 
     # densify the tail of the first column (rows cols-1 .. rows-1)
     sub = [grid[i][0] for i in range(cols - 1, rows)]
     budget = eps / 2.0
     if jitter:
         mag = eps / (8.0 * len(sub))
-        sub = [e + _const_like(e, mag * np.exp(2j * np.pi * rng.uniform()))
+        sub = [e + Poly.constant(mag * np.exp(2j * np.pi * rng.uniform()))
                for e in sub]
         budget = eps / 4.0
     try:
@@ -511,14 +478,10 @@ def _lift_step(mat: AlgMatrix, eps: float, oracle: ColumnOracle,
     # extra freedom is spent keeping the cleared first row small, which is
     # what keeps the remaining block conditioned.
     scale = one - grid[0][0]
-    zero_d = _zero_like(grid[0][0])
-    fallback = [zero_d] * (cols - 2) + [scale * b for b in brow]
-    if isinstance(one, Poly):
-        dvals = _choose_clearing_row(
-            [grid[i][0] for i in range(1, rows)], scale, list(grid[0][1:]),
-            [list(grid[i][1:]) for i in range(1, rows)], fallback)
-    else:
-        dvals = fallback
+    fallback = [zero] * (cols - 2) + [scale * b for b in brow]
+    dvals = _choose_clearing_row(
+        [grid[i][0] for i in range(1, rows)], scale, list(grid[0][1:]),
+        [list(grid[i][1:]) for i in range(1, rows)], fallback)
     ops = [ElementaryOp(0, 1 + idx, d) for idx, d in enumerate(dvals)
            if not d.is_zero]
     ops += [ElementaryOp(i, 0, -grid[i][0]) for i in range(1, rows)]
@@ -527,9 +490,8 @@ def _lift_step(mat: AlgMatrix, eps: float, oracle: ColumnOracle,
     for op in ops:
         _apply_left(op, work)
 
-    if isinstance(one, Poly):
-        target_degree = max(max((e.degree for row in grid for e in row), default=1), 1)
-        _tame_block_column(ops, work, target_degree)
+    target_degree = max(max((e.degree for row in grid for e in row), default=1), 1)
+    _tame_block_column(ops, work, target_degree)
 
     srow = work[0][1:]
     block = AlgMatrix([row[1:] for row in work[1:]])

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import GroupSpec
+from .elimination import VERIFY_AGREEMENT_TOL, VerificationReport
 from .errors import IllConditionedGram, NonRealImage
 
 MEMBERSHIP_TOL = 1e-10
@@ -30,6 +31,8 @@ REAL_IMAGE_TOL = 1e-8
 SUBGROUP_POWER_TOL = 1e-8
 CONJUGATION_TOL = 1e-8
 GRAM_CONDITION_CAP = 1e10
+INTERTWINING_SAMPLES = 64
+INTERTWINING_RADIUS = 0.9
 
 # C identifies the disk model with the half-plane model; conjugation by it
 # realizes the SU(1,1) <-> SL(2,R) bijection.
@@ -255,6 +258,36 @@ def conjugation_residual(subgroup: FiniteCyclicSubgroup,
     return worst, tuple(angles)
 
 
+def _derived_spec(order: int, angles: tuple[float, ...]) -> GroupSpec:
+    """Group data of the rotation action: the generator's disk-rotation
+    angle snapped to an exact multiple of ``2 pi / order``."""
+    if order == 1:
+        return GroupSpec(1, 0)
+    return GroupSpec.from_omega(order, cmath.exp(1j * angles[1]))
+
+
+def verify_conjugation(subgroup: FiniteCyclicSubgroup, h: SU11Element,
+                       residual: float, spec: GroupSpec) -> VerificationReport:
+    """Re-verify a stored conjugation from its subgroup, conjugator, stored
+    residual and derived group data, recomputing the residual and the
+    snapped rotation selector."""
+    fresh, angles = conjugation_residual(subgroup, h)
+    failures = []
+    if not fresh < CONJUGATION_TOL:
+        failures.append(f"conjugation residual {fresh:.3e} >= {CONJUGATION_TOL:.0e}")
+    if not abs(fresh - residual) <= VERIFY_AGREEMENT_TOL:
+        failures.append("stored residual disagrees with recomputed value")
+    try:
+        derived = _derived_spec(subgroup.order, angles)
+    except ValueError as exc:
+        failures.append(f"rotation angles do not snap: {exc}")
+    else:
+        if derived != spec:
+            failures.append(f"stored derived spec {spec} differs from recomputed {derived}")
+    return VerificationReport(kind="conjugation", ok=not failures,
+                              failures=tuple(failures), recomputed={"residual": fresh})
+
+
 def conjugate_into_rotations(subgroup: FiniteCyclicSubgroup) -> ConjugationResult:
     """Find ``h`` with ``h^{-1} K h`` inside U(1).
 
@@ -295,9 +328,7 @@ class RotationAction:
     intertwining_residual: float
 
 
-def rotation_action_of(subgroup: FiniteCyclicSubgroup,
-                       sample_count: int = 64,
-                       sample_radius: float = 0.9) -> RotationAction:
+def rotation_action_of(subgroup: FiniteCyclicSubgroup) -> RotationAction:
     """Derive the rotation-action group data for a finite subgroup.
 
     Conjugates the subgroup into U(1), snaps the generator's rotation
@@ -306,26 +337,14 @@ def rotation_action_of(subgroup: FiniteCyclicSubgroup,
     ``phi_k = phi_h . (omega *) . phi_h^{-1}``.
     """
     result = conjugate_into_rotations(subgroup)
-    n = subgroup.order
-    if n == 1:
-        spec = GroupSpec(1, 0)
-    else:
-        theta = result.rotation_angles[1]
-        m = round(theta * n / (2.0 * math.pi)) % n
-        snapped = 2.0 * math.pi * m / n
-        drift = abs((theta - snapped + math.pi) % (2.0 * math.pi) - math.pi)
-        if drift > 1e-6:
-            raise ValueError(
-                f"generator angle {theta:.6f} is {drift:.3e} away from a "
-                f"multiple of 2 pi / {n}")
-        spec = GroupSpec(n, m)
+    spec = _derived_spec(subgroup.order, result.rotation_angles)
 
     h = result.h
     h_inv = h.inverse()
     omega = spec.omega
     worst = 0.0
-    for k in range(sample_count):
-        z = sample_radius * cmath.exp(2j * math.pi * k / sample_count)
+    for k in range(INTERTWINING_SAMPLES):
+        z = INTERTWINING_RADIUS * cmath.exp(2j * math.pi * k / INTERTWINING_SAMPLES)
         via_rotation = mobius_apply(h, omega * mobius_apply(h_inv, z))
         direct = mobius_apply(subgroup.generator, z)
         worst = max(worst, abs(direct - via_rotation))

@@ -179,10 +179,6 @@ class Poly:
         return f"Poly({list(self._coeffs)!r})"
 
 
-def wiener_norm(f: Poly) -> float:
-    return f.wiener_norm()
-
-
 def rotate(f: Poly, omega: complex, j: int = 1, order: int | None = None,
            tol: float = ROOT_OF_UNITY_TOL) -> Poly:
     """Twist ``f`` by the disk rotation ``z -> omega**j * z``.
@@ -267,7 +263,8 @@ def sylvester_bezout(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     if g.degree == 0:
         return Poly.zero(), Poly.constant(1.0 / g.coefficient(0))
 
-    sep = min(abs(u - v) for u in roots(f) for v in roots(g))
+    roots_g = roots(g)
+    sep = min(abs(u - v) for u in roots(f) for v in roots_g)
     if sep < COPRIME_ROOT_SEPARATION:
         raise CoprimalityFailure(
             f"inputs share a root to within {sep:.3e}", separation=sep)

@@ -3,7 +3,9 @@
 Complex numbers are ``[re, im]`` pairs; a polynomial is the array of its
 coefficient pairs indexed by the power of ``z``.  Serialization is
 canonical (sorted keys, fixed indentation, round-trip-exact floats), so
-identical data produce byte-identical files.
+identical data produce byte-identical files.  Reading rejects ``NaN`` and
+``Infinity``, and ``verify_obj`` dispatches a certificate payload to its
+verifier by the ``"type"`` tag the writers below emit.
 """
 from __future__ import annotations
 
@@ -13,9 +15,11 @@ from pathlib import Path
 from typing import Any
 
 from .algebra import AlgMatrix, CrossedElement, GroupSpec
-from .elimination import BezoutCertificate, WindingObstruction
+from .elimination import (BezoutCertificate, VerificationReport, WindingObstruction,
+                          verify_bezout, verify_winding)
 from .liftrank import LiftResult
-from .moebius import FiniteCyclicSubgroup, RotationAction, SU11Element
+from .moebius import (FiniteCyclicSubgroup, RotationAction, SU11Element,
+                      verify_conjugation)
 from .poly import Poly
 
 
@@ -29,8 +33,13 @@ def write_file(path: str | Path, obj: Any) -> Path:
     return path
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
 def read_file(path: str | Path) -> Any:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return json.loads(Path(path).read_text(encoding="utf-8"),
+                      parse_constant=_reject_constant)
 
 
 # -- complex / polynomial / crossed element
@@ -71,7 +80,6 @@ def bezout_to_obj(cert: BezoutCertificate) -> dict:
         "n": cert.spec.n,
         "m": cert.spec.m,
         "epsilon": cert.epsilon,
-        "tolerance": cert.tolerance,
         "seed": cert.seed,
         "inputs": {"x": crossed_to_obj(cert.x), "y": crossed_to_obj(cert.y)},
         "approximants": {"a": crossed_to_obj(cert.a), "b": crossed_to_obj(cert.b)},
@@ -94,7 +102,6 @@ def bezout_from_obj(obj) -> BezoutCertificate:
         residual=float(obj["residual"]),
         distance_x=float(obj["distance_x"]),
         distance_y=float(obj["distance_y"]),
-        tolerance=float(obj["tolerance"]),
         seed=obj.get("seed"),
     )
 
@@ -168,6 +175,40 @@ def rotation_action_to_obj(action: RotationAction,
         "derived_spec": {"n": action.spec.n, "m": action.spec.m},
         "intertwining_residual": action.intertwining_residual,
     }
+
+
+# -- verification
+
+def _verify_bezout_obj(obj) -> VerificationReport:
+    return verify_bezout(bezout_from_obj(obj))
+
+
+def _verify_winding_obj(obj) -> VerificationReport:
+    return verify_winding(winding_from_obj(obj))
+
+
+def _verify_conjugation_obj(obj) -> VerificationReport:
+    derived = obj["derived_spec"]
+    return verify_conjugation(subgroup_from_obj(obj["subgroup"]),
+                              su11_from_obj(obj["h"]), float(obj["residual"]),
+                              GroupSpec(int(derived["n"]), int(derived["m"])))
+
+
+# keyed by the payload's "type" tag; each entry looks its reader and verifier
+# up by name when called, so rebinding either name in this module takes effect
+VERIFIERS = {
+    "bezout": _verify_bezout_obj,
+    "winding": _verify_winding_obj,
+    "conjugation": _verify_conjugation_obj,
+}
+
+
+def verify_obj(obj) -> VerificationReport:
+    """Re-verify a certificate payload; unknown types are malformed input."""
+    kind = obj.get("type") if isinstance(obj, dict) else None
+    if kind not in VERIFIERS:
+        raise ValueError(f"unknown certificate type {kind!r}")
+    return VERIFIERS[kind](obj)
 
 
 # -- matrices and lifts

@@ -130,7 +130,7 @@ def test_criterion_4_lower_obstructions():
     delta = 0.05
     for n in range(1, 7):
         spec = GroupSpec(n)
-        element = CrossedElement.from_poly(spec, Poly.monomial(1))
+        element = CrossedElement.monomial(spec, 0, Poly.monomial(1))
         for samples in (1024, 4096):
             path = det_on_circle(matrix_embedding(element), samples)
             assert winding_number(path) == n

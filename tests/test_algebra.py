@@ -131,7 +131,7 @@ def test_expectation_idempotent_contractive_bimodule():
     spec = GroupSpec(4)
     for _ in range(30):
         x = random_crossed(rng, spec, 4)
-        a = CrossedElement.from_poly(spec, random_poly(rng, 3))
+        a = CrossedElement.monomial(spec, 0, random_poly(rng, 3))
         assert dist(expectation(expectation(x)), expectation(x)) < 1e-12
         assert expectation(x).l1_norm() <= x.l1_norm() + 1e-12
         assert dist(expectation(a * x), a * expectation(x)) < 1e-10
@@ -183,7 +183,7 @@ def test_embedding_of_unit_is_identity():
 
 def test_embedding_diagonal_twists():
     spec = GroupSpec(2)
-    mat = matrix_embedding(CrossedElement.from_poly(spec, Poly.monomial(1)))
+    mat = matrix_embedding(CrossedElement.monomial(spec, 0, Poly.monomial(1)))
     assert (mat.entry(0, 0) - Poly.monomial(1)).wiener_norm() < 1e-14
     assert (mat.entry(1, 1) + Poly.monomial(1)).wiener_norm() < 1e-12
     assert mat.entry(0, 1).is_zero and mat.entry(1, 0).is_zero
@@ -211,7 +211,7 @@ def test_det_on_circle_closed_form_order_two():
     # det pi(z d^0) = z * (-z) = -z^2
     spec = GroupSpec(2)
     path = det_on_circle(matrix_embedding(
-        CrossedElement.from_poly(spec, Poly.monomial(1))), 64)
+        CrossedElement.monomial(spec, 0, Poly.monomial(1))), 64)
     zs = np.exp(2j * np.pi * np.arange(64) / 64)
     assert np.max(np.abs(np.array(path.samples) + zs ** 2)) < 1e-12
 
@@ -220,13 +220,13 @@ def test_det_winding_matches_group_order():
     for n in range(2, 7):
         spec = GroupSpec(n)
         path = det_on_circle(matrix_embedding(
-            CrossedElement.from_poly(spec, Poly.monomial(1))), 1024)
+            CrossedElement.monomial(spec, 0, Poly.monomial(1))), 1024)
         assert winding_number(path) == n
 
 
 def test_det_on_circle_rejects_vanishing():
     spec = GroupSpec(2)
-    mat = matrix_embedding(CrossedElement.from_poly(spec, Poly([-1, 0, 1])))
+    mat = matrix_embedding(CrossedElement.monomial(spec, 0, Poly([-1, 0, 1])))
     with pytest.raises(VanishingDeterminant):
         det_on_circle(mat, 64)
 

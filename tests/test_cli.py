@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from crossrank import serialize
 from crossrank.algebra import CrossedElement, GroupSpec
 from crossrank.cli import main
@@ -61,19 +63,77 @@ def test_cert_lower_order_one(tmp_path):
     assert json.loads(out.read_text())["winding"] == 1
 
 
-def test_verify_round_trip_and_corruption(tmp_path):
+def _bezout_source(tmp_path):
     stem = tmp_path / "pair"
-    main(["random", "--seed", "11", "--n", "2", "--out", str(stem)])
+    assert main(["random", "--seed", "11", "--n", "2", "--out", str(stem)]) == 0
     out = tmp_path / "cert.json"
-    assert main(["cert-upper", str(stem) + "-x.json", str(stem) + "-y.json",
+    assert main(["cert-upper", f"{stem}-x.json", f"{stem}-y.json",
                  "--seed", "11", "--out", str(out)]) == 0
+    return out
+
+
+def _conjugation_source(tmp_path):
+    sub = tmp_path / "subgroup.json"
+    assert main(["random-subgroup", "--seed", "3", "--n", "4", "--out", str(sub)]) == 0
+    out = tmp_path / "conjugation.json"
+    assert main(["conjugate", str(sub), "--out", str(out)]) == 0
+    return out
+
+
+def _winding_source(tmp_path):
+    out = tmp_path / "obstruction.json"
+    assert main(["cert-lower", "--n", "3", "--epsilon", "0.05", "--out", str(out)]) == 0
+    return out
+
+
+def _nudge_cofactor(payload):
+    payload["cofactors"]["c"]["comps"][0][0][0] += 1e-3
+
+
+def _zero_cofactors(payload):
+    # c*a + d*b = 0, so the residual is exactly 1; the file claims a
+    # tolerance above it, which older verifiers read and trusted
+    for name in ("c", "d"):
+        payload["cofactors"][name]["comps"] = [[] for _ in range(payload["n"])]
+    payload["residual"] = 1.0
+    payload["tolerance"] = 2.0
+
+
+def _wrong_selector(payload):
+    assert payload["derived_spec"] == {"n": 4, "m": 1}
+    payload["derived_spec"]["m"] = 3
+
+
+def _broken_margin(payload):
+    assert payload["delta"] == 0.05
+    payload["delta"] = 0.9
+
+
+def _nan_cofactor(payload):
+    payload["cofactors"]["c"]["comps"][0][0][0] = float("nan")
+
+
+def _nan_residual(payload):
+    payload["residual"] = float("nan")
+
+
+@pytest.mark.parametrize("source, tamper, code", [
+    pytest.param(_bezout_source, _nudge_cofactor, 2, id="nudged-cofactor"),
+    pytest.param(_bezout_source, _zero_cofactors, 2, id="zero-cofactors"),
+    pytest.param(_conjugation_source, _wrong_selector, 2, id="wrong-selector"),
+    pytest.param(_winding_source, _broken_margin, 2, id="broken-margin"),
+    pytest.param(_bezout_source, _nan_cofactor, 1, id="nan-cofactor"),
+    pytest.param(_bezout_source, _nan_residual, 1, id="nan-residual"),
+])
+def test_verify_round_trip_and_corruption(tmp_path, source, tamper, code):
+    out = source(tmp_path)
     assert main(["verify", str(out)]) == 0
 
     payload = json.loads(out.read_text())
-    payload["cofactors"]["c"]["comps"][0][0][0] += 1e-3
+    tamper(payload)
     corrupted = tmp_path / "corrupted.json"
     corrupted.write_text(json.dumps(payload))
-    assert main(["verify", str(corrupted)]) == 2
+    assert main(["verify", str(corrupted)]) == code
 
 
 def test_verify_truncated_json(tmp_path):

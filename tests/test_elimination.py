@@ -175,7 +175,7 @@ def test_perturb_zero_budget_path():
     spec = GroupSpec(2)
     a = CrossedElement(spec, [Poly.monomial(1), Poly.one()])
     rng = seeded_generator(5)
-    assert perturb_avoiding(a, (), 0.1, rng) == a
+    assert perturb_avoiding(a, (), 0.1, rng).input == a
 
 
 def test_perturb_moves_roots_off_target():
@@ -183,7 +183,7 @@ def test_perturb_moves_roots_off_target():
     spec = GroupSpec(2)
     a = CrossedElement(spec, [Poly.monomial(1), Poly.one()])
     rng = seeded_generator(6)
-    b = perturb_avoiding(a, [1j], 0.1, rng)
+    b = perturb_avoiding(a, [1j], 0.1, rng).input
     assert dist(a, b) < 0.1
     top = eliminate(b).top_poly
     assert min(abs(r - 1j) for r in roots(top)) > 1e-4 * 2
@@ -197,9 +197,9 @@ def test_perturb_separates_independent_tops():
     spec = GroupSpec(3)
     x = random_crossed(rng, spec, 2)
     y = random_crossed(rng, spec, 2)
-    fx = eliminate(perturb_avoiding(x, (), 0.05, rng)).top_poly
+    fx = eliminate(perturb_avoiding(x, (), 0.05, rng).input).top_poly
     avoid = roots(fx)
-    b = perturb_avoiding(y, avoid, 0.05, rng)
+    b = perturb_avoiding(y, avoid, 0.05, rng).input
     fb = eliminate(b).top_poly
     sep = min(abs(u - v) for u in roots(fb) for v in avoid)
     assert sep > 1e-4
@@ -300,8 +300,7 @@ def test_obstruction_windings():
 def test_obstruction_margin_guard():
     with pytest.raises(ValueError):
         winding_obstruction(GroupSpec(2), 0.45, seeded_generator(0))
-    # custom exponent knob loosens or tightens the guard
-    winding_obstruction(GroupSpec(2), 0.2, seeded_generator(0), margin_exponent=2)
+    winding_obstruction(GroupSpec(2), 0.2, seeded_generator(0))
 
 
 def test_obstruction_sample_counts_agree():
@@ -316,3 +315,7 @@ def test_obstruction_verification_catches_tampering():
     obs = winding_obstruction(GroupSpec(2), 0.1, seeded_generator(12))
     assert not verify_winding(replace(obs, winding=3)).ok
     assert not verify_winding(replace(obs, circle_min=0.5)).ok
+    # -0.5 satisfies the margin inequality at n=3; only the range check rejects it
+    obs = winding_obstruction(GroupSpec(3), 0.05, seeded_generator(12))
+    assert verify_winding(obs).ok
+    assert not verify_winding(replace(obs, delta=-0.5)).ok

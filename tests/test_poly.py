@@ -8,8 +8,7 @@ import pytest
 
 from crossrank.errors import CoprimalityFailure, UndersampledPath
 from crossrank.poly import (CirclePath, Poly, circle_points, poly_divmod,
-                            rotate, roots, sylvester_bezout, wiener_norm,
-                            winding_number)
+                            rotate, roots, sylvester_bezout, winding_number)
 from crossrank.randomness import random_poly, seeded_generator
 
 
@@ -98,8 +97,8 @@ def test_rotate_is_isometric():
 
 
 def test_wiener_norm_values():
-    assert wiener_norm(Poly()) == 0.0
-    assert wiener_norm(Poly([3, 4j])) == 7.0
+    assert Poly().wiener_norm() == 0.0
+    assert Poly([3, 4j]).wiener_norm() == 7.0
 
 
 def test_wiener_norm_submultiplicative():
