@@ -148,10 +148,7 @@ class CrossedElement:
             return CrossedElement(self.spec, (c * other for c in self.comps))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return CrossedElement(self.spec, (other * c for c in self.comps))
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CrossedElement)
@@ -170,17 +167,19 @@ def convolve(x: CrossedElement, y: CrossedElement) -> CrossedElement:
     x._require_same_spec(y)
     spec = x.spec
     n = spec.n
-    comps = [Poly.zero()] * n
-    for h in range(n):
-        fh = x.comps[h]
+    width = max(c.coeffs.size for c in y.comps)
+    acc = np.zeros((n, max(c.coeffs.size for c in x.comps) + width), dtype=complex)
+    for h, fh in enumerate(x.comps):
         if fh.is_zero:
             continue
+        # alpha^h scales coefficient k by omega**(h*k), as in GroupSpec.twist
+        phases = (spec.omega ** h) ** np.arange(width)
         for g in range(n):
-            yg = y.comps[(g - h) % n]
-            if yg.is_zero:
-                continue
-            comps[g] = comps[g] + fh * spec.twist(yg, h)
-    return CrossedElement(spec, comps)
+            yg = y.comps[(g - h) % n].coeffs
+            if yg.size:
+                prod = np.convolve(fh.coeffs, yg * phases[:yg.size])
+                acc[g, :prod.size] += prod
+    return CrossedElement(spec, (Poly(row) for row in acc))
 
 
 def expectation(x: CrossedElement) -> CrossedElement:
@@ -248,17 +247,15 @@ def det_on_circle(mat: "AlgMatrix", samples: int = 64) -> CirclePath:
     numeric determinants.  Rejects loops passing through (numerical) zero,
     which are useless for winding counts.
     """
-    if samples < 16:
-        raise ValueError("need at least 16 samples")
     if mat.rows != mat.cols:
         raise ValueError("determinant needs a square matrix")
+    if not all(isinstance(e, Poly) for row in mat.entries for e in row):
+        raise TypeError("det_on_circle expects polynomial entries")
     zs = circle_points(samples)
+    # filled entry by entry, so only one entry's values exist outside the grid
     grid = np.empty((samples, mat.rows, mat.cols), dtype=complex)
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            entry = mat.entry(i, j)
-            if not isinstance(entry, Poly):
-                raise TypeError("det_on_circle expects polynomial entries")
+    for i, row in enumerate(mat.entries):
+        for j, entry in enumerate(row):
             grid[:, i, j] = entry.eval_on_array(zs)
     dets = np.linalg.det(grid)
     min_mod = float(np.min(np.abs(dets)))
@@ -266,7 +263,7 @@ def det_on_circle(mat: "AlgMatrix", samples: int = 64) -> CirclePath:
         raise VanishingDeterminant(
             f"determinant modulus {min_mod:.3e} below {DET_FLOOR:.0e} on the circle",
             min_modulus=min_mod)
-    return CirclePath(tuple(complex(d) for d in dets))
+    return CirclePath(dets)
 
 
 def entry_norm(entry) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .algebra import CrossedElement, GroupSpec, det_on_circle, matrix_embedding
 from .errors import CoprimalityFailure, GroupMismatch, GroupTooSmall, PerturbationExhausted
-from .poly import Poly, roots, sylvester_bezout, winding_number
+from .poly import Poly, min_separation, roots, sylvester_bezout, winding_number
 
 CERTIFICATE_TOL = 1e-6
 VERIFY_AGREEMENT_TOL = 1e-9
@@ -172,13 +172,6 @@ def homogeneity_check(a: CrossedElement, scale: complex) -> ScalingReport:
     return ScalingReport(scale, deviations)
 
 
-def _min_separation(points: Iterable[complex], avoid: Iterable[complex]) -> float:
-    pairs = [(p, s) for p in points for s in avoid]
-    if not pairs:
-        return math.inf
-    return min(abs(p - s) for p, s in pairs)
-
-
 def perturb_avoiding(a: CrossedElement, avoid: Iterable[complex], eps: float,
                      rng: np.random.Generator,
                      max_attempts: int = PERTURB_MAX_ATTEMPTS,
@@ -198,8 +191,8 @@ def perturb_avoiding(a: CrossedElement, avoid: Iterable[complex], eps: float,
     """
     if eps <= 0:
         raise ValueError("perturbation budget must be positive")
-    avoid = [complex(s) for s in avoid]
-    threshold = SEPARATION_BASE * (1.0 + max((abs(s) for s in avoid), default=0.0))
+    avoid = np.asarray(avoid, dtype=complex)
+    threshold = SEPARATION_BASE * (1.0 + float(np.max(np.abs(avoid), initial=0.0)))
     spec = a.spec
 
     best_sep: float | None = None
@@ -210,9 +203,9 @@ def perturb_avoiding(a: CrossedElement, avoid: Iterable[complex], eps: float,
         top = trace.top_poly
         if top.is_zero:
             return None
-        if not avoid or top.degree == 0:
+        if not avoid.size or top.degree == 0:
             return trace
-        sep = _min_separation(roots(top), avoid)
+        sep = min_separation(roots(top), avoid)
         if best_sep is None or sep > best_sep:
             best_sep = sep
         return trace if sep > threshold else None
@@ -294,8 +287,7 @@ def bezout_certificate(x: CrossedElement, y: CrossedElement, eps: float,
         fresh = attempt > 0
         trace_a = perturb_avoiding(x, (), half, rng, force=fresh)
         a, fa = trace_a.input, trace_a.top_poly
-        avoid = roots(fa) if fa.degree >= 1 else []
-        trace_b = perturb_avoiding(y, avoid, half, rng, force=fresh)
+        trace_b = perturb_avoiding(y, roots(fa), half, rng, force=fresh)
         b, fb = trace_b.input, trace_b.top_poly
 
         try:
@@ -409,30 +401,26 @@ def winding_obstruction(spec: GroupSpec, delta: float, rng: np.random.Generator,
             f"winding disagrees across sample counts ({w} vs {w_fine}); "
             "raise the sample count")
 
-    trial_windings = []
-    trial_min = None
+    trial_windings, trial_lows = [], []
     for _ in range(trials):
         bump = _random_perturbation(spec, delta, rng)
-        perturbed_path = det_on_circle(matrix_embedding(element + bump), samples)
-        trial_windings.append(winding_number(perturbed_path))
-        low = perturbed_path.min_modulus
-        trial_min = low if trial_min is None else min(trial_min, low)
+        trial = det_on_circle(matrix_embedding(element + bump), samples)
+        trial_windings.append(winding_number(trial))
+        trial_lows.append(trial.min_modulus)
 
     return WindingObstruction(
         element=element, circle_min=path.min_modulus, winding=w,
         samples=samples, delta=delta, trials=trials,
-        trial_windings=tuple(trial_windings), trial_circle_min=trial_min,
-        seed=seed)
+        trial_windings=tuple(trial_windings),
+        trial_circle_min=min(trial_lows, default=None), seed=seed)
 
 
 def _random_perturbation(spec: GroupSpec, delta: float,
                          rng: np.random.Generator) -> CrossedElement:
     """Random element of summed norm strictly below ``delta``."""
-    comps = []
-    for _ in range(spec.n):
-        coeffs = rng.uniform(-1.0, 1.0, size=4) + 1j * rng.uniform(-1.0, 1.0, size=4)
-        comps.append(Poly(coeffs))
-    raw = CrossedElement(spec, comps)
+    # per component: four real parts, then four imaginary parts
+    draws = rng.uniform(-1.0, 1.0, size=(spec.n, 2, 4))
+    raw = CrossedElement(spec, (Poly(re + 1j * im) for re, im in draws))
     target = delta * rng.uniform(0.25, 0.9)
     norm = raw.l1_norm()
     if norm == 0.0:
@@ -442,9 +430,21 @@ def _random_perturbation(spec: GroupSpec, delta: float,
 
 def verify_winding(obs: WindingObstruction) -> VerificationReport:
     """Re-verify an obstruction: recompute the loop at the stored and a
-    quadrupled sample count and compare against stored values."""
+    quadrupled sample count and compare against stored values.
+
+    The perturbation trials are checked for shape only: one stored winding
+    per trial, and a finite positive trial minimum exactly when trials ran.
+    The trial minimum is recorded but not re-derived, since replaying the
+    random trials would cost several times the rest of the check.
+    """
     failures = []
     recomputed: dict[str, float] = {}
+    if len(obs.trial_windings) != obs.trials:
+        failures.append(f"{len(obs.trial_windings)} trial windings for {obs.trials} trials")
+    trial_min = obs.trial_circle_min
+    has_min = trial_min is not None and math.isfinite(trial_min) and trial_min > 0.0
+    if has_min != (obs.trials > 0):
+        failures.append(f"trial circle minimum {trial_min} does not fit {obs.trials} trials")
     try:
         _check_margin(obs.spec.n, obs.delta)
         path = det_on_circle(matrix_embedding(obs.element), obs.samples)

@@ -17,6 +17,7 @@ together with a witness row over the subalgebra.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -26,7 +27,8 @@ import numpy as np
 
 from .algebra import AlgMatrix, CrossedElement, expectation
 from .errors import CoprimalityFailure, OracleFailure, PerturbationExhausted
-from .poly import Poly, poly_divmod, roots, sylvester_bezout
+from .poly import (Poly, convolution_matrix, min_separation, poly_divmod, roots,
+                   sylvester_bezout)
 
 ORACLE_ROOT_SEPARATION = 1e-4
 ORACLE_SEPARATION_FLOOR = 2e-7
@@ -89,20 +91,10 @@ class LiftResult:
     residual: float
 
 
-def _coeff_vector(f: Poly, length: int) -> np.ndarray:
-    out = np.zeros(length, dtype=complex)
-    for k, c in enumerate(f.coeffs):
-        out[k] = c
-    return out
-
-
-def _convolution_block(f: Poly, ncoef: int, rows: int) -> np.ndarray:
-    """Matrix of ``d -> d * f`` on coefficient vectors of length ``ncoef``."""
-    block = np.zeros((rows, ncoef), dtype=complex)
-    for power in range(ncoef):
-        for d, c in enumerate(f.coeffs):
-            block[power + d, power] = c
-    return block
+def _row_residual(row: Sequence[Poly], column: Sequence[Poly]) -> float:
+    """Wiener norm of ``sum_i row_i * column_i - 1``."""
+    return (functools.reduce(operator.add, (d * c for d, c in zip(row, column)))
+            - Poly.one()).wiener_norm()
 
 
 def _choose_clearing_row(sub_entries: list[Poly], scale: Poly,
@@ -127,10 +119,8 @@ def _choose_clearing_row(sub_entries: list[Poly], scale: Poly,
     crows = ncoef + cmax
     nvars = width * ncoef
 
-    constraint = np.zeros((crows, nvars), dtype=complex)
-    for j, c in enumerate(sub_entries):
-        constraint[:, j * ncoef:(j + 1) * ncoef] = _convolution_block(c, ncoef, crows)
-    rhs = _coeff_vector(scale, crows)
+    constraint = np.hstack([convolution_matrix(c, ncoef, crows) for c in sub_entries])
+    rhs = convolution_matrix(scale, 1, crows).ravel()
 
     x0 = np.linalg.lstsq(constraint, rhs, rcond=None)[0]
     if np.max(np.abs(constraint @ x0 - rhs)) > 1e-10 * max(1.0, scale.wiener_norm()):
@@ -147,12 +137,9 @@ def _choose_clearing_row(sub_entries: list[Poly], scale: Poly,
         for col, head in enumerate(head_tail):
             degs = [tails[col].degree for tails in tail_tails]
             rows = max(ncoef + max(max(degs), 0), head.degree + 1)
-            block = np.zeros((rows, nvars), dtype=complex)
-            for j, tails in enumerate(tail_tails):
-                block[:, j * ncoef:(j + 1) * ncoef] = _convolution_block(
-                    tails[col], ncoef, rows)
-            blocks.append(block)
-            targets.append(-_coeff_vector(head, rows))
+            blocks.append(np.hstack([convolution_matrix(tails[col], ncoef, rows)
+                                     for tails in tail_tails]))
+            targets.append(-convolution_matrix(head, 1, rows).ravel())
         # small ridge term keeps d itself from drifting large
         blocks.append(1e-3 * np.eye(nvars, dtype=complex))
         targets.append(np.zeros(nvars, dtype=complex))
@@ -162,12 +149,9 @@ def _choose_clearing_row(sub_entries: list[Poly], scale: Poly,
                                 target - objective @ x0, rcond=None)[0]
         x = x0 + null_basis @ shift
 
-    row = [Poly(x[j * ncoef:(j + 1) * ncoef]) for j in range(width)]
-    achieved = functools.reduce(operator.add,
-                                (d * c for d, c in zip(row, sub_entries)))
-    if (achieved - scale).wiener_norm() > 1e-9 * max(1.0, scale.wiener_norm()):
+    if np.abs(constraint @ x - rhs).sum() > 1e-9 * max(1.0, scale.wiener_norm()):
         return fallback
-    return row
+    return [Poly(part) for part in x.reshape(width, ncoef)]
 
 
 def _bezout_row(entries: Sequence[Poly]) -> list[Poly]:
@@ -208,12 +192,8 @@ def _minimal_norm_row(entries: Sequence[Poly],
     failure is a genuine coprimality problem.
     """
     cap = max(max(e.degree for e in entries), 1) + 1
-    width = len(entries)
     eq_count = cap + max(e.degree for e in entries) + 1
-    cols = width * cap
-    system = np.zeros((eq_count, cols), dtype=complex)
-    for i, e in enumerate(entries):
-        system[:, i * cap:(i + 1) * cap] = _convolution_block(e, cap, eq_count)
+    system = np.hstack([convolution_matrix(e, cap, eq_count) for e in entries])
     rhs = np.zeros(eq_count, dtype=complex)
     rhs[0] = 1.0
     sol = np.linalg.lstsq(system, rhs, rcond=None)[0]
@@ -222,9 +202,8 @@ def _minimal_norm_row(entries: Sequence[Poly],
         if float(np.max(np.abs(gap))) < 1e-14:
             break
         sol = sol + np.linalg.lstsq(system, gap, rcond=None)[0]
-    row = [Poly(sol[i * cap:(i + 1) * cap]) for i in range(width)]
-    residual = (functools.reduce(operator.add, (d * c for d, c in zip(row, entries)))
-                - Poly.one()).wiener_norm()
+    row = [Poly(part) for part in sol.reshape(-1, cap)]
+    residual = _row_residual(row, entries)
     if residual > ORACLE_RESIDUAL_TOL:
         if fallback is None:
             raise CoprimalityFailure(
@@ -275,13 +254,9 @@ def disk_column_oracle(column: Sequence[Poly], eps: float, rng: np.random.Genera
                             min(ORACLE_ROOT_SEPARATION, mag))
         if any(e.is_zero for e in cand):
             continue
-        root_sets = [roots(e) if e.degree >= 1 else [] for e in cand]
-        sep = math.inf
-        for ii in range(width):
-            for jj in range(ii + 1, width):
-                for u in root_sets[ii]:
-                    for v in root_sets[jj]:
-                        sep = min(sep, abs(u - v))
+        root_sets = [roots(e) for e in cand]
+        sep = min((min_separation(u, v) for u, v in itertools.combinations(root_sets, 2)),
+                  default=math.inf)
         if sep < math.inf and (best_sep is None or sep > best_sep):
             best_sep = sep
         if sep < threshold:
@@ -290,9 +265,7 @@ def disk_column_oracle(column: Sequence[Poly], eps: float, rng: np.random.Genera
             row = _bezout_row(cand)
         except CoprimalityFailure:
             continue
-        residual = (functools.reduce(operator.add, (d * c for d, c in zip(row, cand)))
-                    - Poly.one()).wiener_norm()
-        if residual > ORACLE_RESIDUAL_TOL:
+        if _row_residual(row, cand) > ORACLE_RESIDUAL_TOL:
             continue
         # keep the best-conditioned admissible attempt: oversized rows feed
         # oversized row operations in the lifts built on top of this oracle
@@ -435,8 +408,7 @@ def _lift_base(mat: AlgMatrix, eps: float, oracle: ColumnOracle,
         raise OracleFailure(f"column oracle failed: {exc}", level=1) from exc
     output = AlgMatrix([[e] for e in new_col])
     left_inverse = AlgMatrix([list(brow)])
-    residual = (functools.reduce(operator.add, (d * c for d, c in zip(brow, new_col)))
-                - Poly.one()).wiener_norm()
+    residual = _row_residual(brow, new_col)
     distance = sum((n - o).wiener_norm() for n, o in zip(new_col, column))
     return LiftResult(output, left_inverse, float(distance), float(residual))
 
@@ -448,10 +420,7 @@ def _lift_step(mat: AlgMatrix, eps: float, oracle: ColumnOracle,
     # sub-rows, and a near rank drop of that particular submatrix (which
     # the full matrix need not share) blocks the deeper columns no matter
     # how they are perturbed; conjugating by a permutation moves it away
-    if jitter:
-        perm = [int(p) for p in rng.permutation(rows)]
-    else:
-        perm = list(range(rows))
+    perm = rng.permutation(rows) if jitter else np.arange(rows)
     source = mat.to_lists()
     grid = [list(source[p]) for p in perm]
     one, zero = Poly.one(), Poly.zero()
@@ -510,23 +479,16 @@ def _lift_step(mat: AlgMatrix, eps: float, oracle: ColumnOracle,
         _apply_left(op.inverse(), lifted)
     output = AlgMatrix(lifted)
 
-    w = inner.left_inverse.to_lists()
-    z12 = []
-    for c in range(rows - 1):
-        total = functools.reduce(operator.add,
-                                 (srow[l] * w[l][c] for l in range(cols - 1)))
-        z12.append(-total)
-    z_rows = [[one] + z12]
-    z_rows += [[zero] + list(w_row) for w_row in w]
+    z12 = (AlgMatrix([srow]) * inner.left_inverse).entries[0]
+    z_rows = [[one] + [-t for t in z12]]
+    z_rows += [[zero] + list(w_row) for w_row in inner.left_inverse.entries]
     for op in reversed(ops):
         _apply_right(op, z_rows)
 
     # undo the row shuffle: rows of the output, columns of the left inverse
-    inverse_perm = [0] * rows
-    for pos, p in enumerate(perm):
-        inverse_perm[p] = pos
+    inverse_perm = np.argsort(perm)
     out_rows = output.to_lists()
-    output = AlgMatrix([out_rows[inverse_perm[r]] for r in range(rows)])
+    output = AlgMatrix([out_rows[i] for i in inverse_perm])
     left_inverse = AlgMatrix([[z_rows[r][inverse_perm[c]] for c in range(rows)]
                               for r in range(cols)])
 

@@ -25,6 +25,7 @@ import numpy as np
 from .algebra import GroupSpec
 from .elimination import VERIFY_AGREEMENT_TOL, VerificationReport
 from .errors import IllConditionedGram, NonRealImage
+from .poly import circle_points
 
 MEMBERSHIP_TOL = 1e-10
 REAL_IMAGE_TOL = 1e-8
@@ -99,13 +100,13 @@ class SU11Element:
         return min(self.distance(other), self.distance(flipped))
 
 
-def mobius_apply(g: SU11Element, z: complex) -> complex:
+def mobius_apply(g: SU11Element, z):
     """Evaluate the automorphism ``z -> (a z + b)/(conj(b) z + conj(a))``.
 
     On the closed disk the denominator cannot vanish, the open disk maps
-    into itself and the circle onto itself.
+    into itself and the circle onto itself.  ``z`` may be a number or an
+    array of points.
     """
-    z = complex(z)
     return (g.a * z + g.b) / (g.b.conjugate() * z + g.a.conjugate())
 
 
@@ -266,28 +267,6 @@ def _derived_spec(order: int, angles: tuple[float, ...]) -> GroupSpec:
     return GroupSpec.from_omega(order, cmath.exp(1j * angles[1]))
 
 
-def verify_conjugation(subgroup: FiniteCyclicSubgroup, h: SU11Element,
-                       residual: float, spec: GroupSpec) -> VerificationReport:
-    """Re-verify a stored conjugation from its subgroup, conjugator, stored
-    residual and derived group data, recomputing the residual and the
-    snapped rotation selector."""
-    fresh, angles = conjugation_residual(subgroup, h)
-    failures = []
-    if not fresh < CONJUGATION_TOL:
-        failures.append(f"conjugation residual {fresh:.3e} >= {CONJUGATION_TOL:.0e}")
-    if not abs(fresh - residual) <= VERIFY_AGREEMENT_TOL:
-        failures.append("stored residual disagrees with recomputed value")
-    try:
-        derived = _derived_spec(subgroup.order, angles)
-    except ValueError as exc:
-        failures.append(f"rotation angles do not snap: {exc}")
-    else:
-        if derived != spec:
-            failures.append(f"stored derived spec {spec} differs from recomputed {derived}")
-    return VerificationReport(kind="conjugation", ok=not failures,
-                              failures=tuple(failures), recomputed={"residual": fresh})
-
-
 def conjugate_into_rotations(subgroup: FiniteCyclicSubgroup) -> ConjugationResult:
     """Find ``h`` with ``h^{-1} K h`` inside U(1).
 
@@ -338,15 +317,55 @@ def rotation_action_of(subgroup: FiniteCyclicSubgroup) -> RotationAction:
     """
     result = conjugate_into_rotations(subgroup)
     spec = _derived_spec(subgroup.order, result.rotation_angles)
+    return RotationAction(
+        spec=spec, conjugator=result.h, conjugation=result,
+        intertwining_residual=intertwining_residual(subgroup.generator, result.h, spec))
 
-    h = result.h
-    h_inv = h.inverse()
-    omega = spec.omega
-    worst = 0.0
-    for k in range(INTERTWINING_SAMPLES):
-        z = INTERTWINING_RADIUS * cmath.exp(2j * math.pi * k / INTERTWINING_SAMPLES)
-        via_rotation = mobius_apply(h, omega * mobius_apply(h_inv, z))
-        direct = mobius_apply(subgroup.generator, z)
-        worst = max(worst, abs(direct - via_rotation))
-    return RotationAction(spec=spec, conjugator=h, conjugation=result,
-                          intertwining_residual=worst)
+
+def intertwining_residual(generator: SU11Element, h: SU11Element,
+                          spec: GroupSpec) -> float:
+    """Worst ``|g(z) - h(omega * h^{-1}(z))|`` over ``INTERTWINING_SAMPLES``
+    points of the circle of radius ``INTERTWINING_RADIUS``: how far the
+    generator is from acting as the rotation by ``spec.omega`` seen
+    through ``h``."""
+    zs = INTERTWINING_RADIUS * circle_points(INTERTWINING_SAMPLES)
+    via_rotation = mobius_apply(h, spec.omega * mobius_apply(h.inverse(), zs))
+    return float(np.max(np.abs(mobius_apply(generator, zs) - via_rotation)))
+
+
+def verify_conjugation(subgroup: FiniteCyclicSubgroup,
+                       action: RotationAction) -> VerificationReport:
+    """Re-verify a stored rotation action against its subgroup.
+
+    Recomputes the conjugation residual, the rotation angles (compared
+    modulo ``2 pi``), the snapped group data and the intertwining
+    residual from the subgroup and the conjugator alone, and checks the
+    stored order against the subgroup's.
+    """
+    stored = action.conjugation
+    fresh, angles = conjugation_residual(subgroup, action.conjugator)
+    failures = []
+    if not fresh < CONJUGATION_TOL:
+        failures.append(f"conjugation residual {fresh:.3e} >= {CONJUGATION_TOL:.0e}")
+    if not abs(fresh - stored.residual) <= VERIFY_AGREEMENT_TOL:
+        failures.append("stored residual disagrees with recomputed value")
+    if stored.order != subgroup.order:
+        failures.append(f"stored order {stored.order} != subgroup order {subgroup.order}")
+    # compared modulo 2 pi: an angle next to zero may come back next to 2 pi
+    if (len(stored.rotation_angles) != len(angles)
+            or not all(abs((a - b + math.pi) % (2.0 * math.pi) - math.pi) <= VERIFY_AGREEMENT_TOL
+                       for a, b in zip(stored.rotation_angles, angles))):
+        failures.append("stored rotation angles disagree with recomputed values")
+    try:
+        derived = _derived_spec(subgroup.order, angles)
+    except ValueError as exc:
+        failures.append(f"rotation angles do not snap: {exc}")
+    else:
+        if derived != action.spec:
+            failures.append(
+                f"stored derived spec {action.spec} differs from recomputed {derived}")
+        worst = intertwining_residual(subgroup.generator, action.conjugator, derived)
+        if not abs(worst - action.intertwining_residual) <= VERIFY_AGREEMENT_TOL:
+            failures.append("stored intertwining residual disagrees with recomputed value")
+    return VerificationReport(kind="conjugation", ok=not failures,
+                              failures=tuple(failures), recomputed={"residual": fresh})

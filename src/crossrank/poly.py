@@ -30,27 +30,38 @@ PHASE_JUMP_LIMIT = math.pi / 2
 _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
 
+def _moduli(zs: np.ndarray) -> np.ndarray:
+    """``|z|`` rounded as Python's ``abs`` rounds it; ``np.abs`` may differ in
+    the last bit on some CPUs, and norms and trimming should not."""
+    return np.hypot(zs.real, zs.imag)
+
+
 class Poly:
     """Dense complex polynomial; ``coeffs[k]`` multiplies ``z**k``.
 
-    The zero polynomial is the empty coefficient tuple; otherwise the last
-    coefficient is nonzero.  Trailing coefficients whose modulus is at most
-    ``trim`` times the largest coefficient modulus are discarded on
-    construction, which keeps numerically produced values in normal form.
-    Instances are immutable and all operations are pure.
+    The coefficients are a read-only complex128 array.  The zero polynomial
+    is the empty array; otherwise the last coefficient is nonzero.
+    Trailing coefficients whose modulus is at most ``trim`` times the
+    largest coefficient modulus are discarded on construction, which keeps
+    numerically produced values in normal form.  Instances are immutable
+    and all operations are pure.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[complex] = (), trim: float = TRIM_RELATIVE):
-        cs = [complex(c) for c in coeffs]
-        if cs:
-            cut = trim * max(abs(c) for c in cs)
-            last = len(cs)
-            while last > 0 and abs(cs[last - 1]) <= cut:
-                last -= 1
-            del cs[last:]
-        self._coeffs = tuple(cs)
+        cs = np.array(coeffs, dtype=complex)
+        if cs.size:
+            mags = _moduli(cs)
+            # a list max is cheaper than an array reduction at these sizes
+            moduli = mags.tolist()
+            cut = trim * max(moduli)
+            if not moduli[-1] > cut:
+                # NaN compares false both ways, so a NaN is never trimmed
+                kept = np.flatnonzero(~(mags <= cut))
+                cs = cs[:kept[-1] + 1] if kept.size else cs[:0]
+        cs.setflags(write=False)
+        self._coeffs = cs
 
     # -- construction helpers
 
@@ -84,20 +95,20 @@ class Poly:
     # -- structure
 
     @property
-    def coeffs(self) -> tuple[complex, ...]:
+    def coeffs(self) -> np.ndarray:
         return self._coeffs
 
     @property
     def degree(self) -> int:
         """Degree, with the convention that the zero polynomial has degree -1."""
-        return len(self._coeffs) - 1
+        return self._coeffs.size - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._coeffs.size
 
     def coefficient(self, k: int) -> complex:
-        return self._coeffs[k] if 0 <= k < len(self._coeffs) else 0.0
+        return complex(self._coeffs[k]) if 0 <= k < self._coeffs.size else 0.0
 
     # -- arithmetic
 
@@ -105,38 +116,35 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
+        if a.size < b.size:
             a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
+        out = a.copy()
+        out[:b.size] += b
         return Poly(out)
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
     def __neg__(self) -> Poly:
-        return Poly(tuple(-c for c in self._coeffs), trim=0.0)
+        return Poly(-self._coeffs, trim=0.0)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
             if self.is_zero or other.is_zero:
                 return Poly()
-            prod = np.convolve(np.asarray(self._coeffs, dtype=complex),
-                               np.asarray(other._coeffs, dtype=complex))
-            return Poly(prod)
+            return Poly(np.convolve(self._coeffs, other._coeffs))
         if isinstance(other, _SCALARS):
-            return Poly(tuple(c * other for c in self._coeffs))
+            return Poly(self._coeffs * other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, _SCALARS):
-            return Poly(tuple(other * c for c in self._coeffs))
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         if isinstance(scalar, _SCALARS):
-            return Poly(tuple(c / scalar for c in self._coeffs))
+            # an array would turn division by zero into inf/nan silently
+            if scalar == 0:
+                raise ZeroDivisionError("polynomial division by zero")
+            return Poly(self._coeffs / scalar)
         return NotImplemented
 
     def __pow__(self, n: int) -> Poly:
@@ -151,32 +159,30 @@ class Poly:
         return out
 
     def __call__(self, z: complex) -> complex:
-        result = 0.0 + 0.0j
-        for c in reversed(self._coeffs):
-            result = result * z + c
-        return result
+        return complex(self.eval_on_array(np.asarray(z)))
 
     def eval_on_array(self, zs: np.ndarray) -> np.ndarray:
         """Horner evaluation at every point of ``zs`` at once."""
-        result = np.zeros_like(zs, dtype=complex)
-        for c in reversed(self._coeffs):
-            result = result * zs + c
+        result = np.zeros(np.shape(zs), dtype=complex)
+        for c in self._coeffs[::-1].tolist():
+            result *= zs
+            result += c
         return result
 
     def derivative(self) -> Poly:
-        return Poly(tuple(k * c for k, c in enumerate(self._coeffs) if k > 0), trim=0.0)
+        return Poly(self._coeffs[1:] * np.arange(1, self._coeffs.size), trim=0.0)
 
     def wiener_norm(self) -> float:
         """Sum of coefficient moduli; zero iff the polynomial is zero."""
-        return float(sum(abs(c) for c in self._coeffs))
+        return float(sum(_moduli(self._coeffs).tolist()))
 
     # -- comparison / display
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self._coeffs == other._coeffs
+        return isinstance(other, Poly) and np.array_equal(self._coeffs, other._coeffs)
 
     def __repr__(self) -> str:
-        return f"Poly({list(self._coeffs)!r})"
+        return f"Poly({self._coeffs.tolist()!r})"
 
 
 def rotate(f: Poly, omega: complex, j: int = 1, order: int | None = None,
@@ -196,8 +202,28 @@ def rotate(f: Poly, omega: complex, j: int = 1, order: int | None = None,
             raise ValueError(
                 f"omega={omega!r} is not an order-{order} root of unity "
                 f"(|omega**n - 1| = {abs(omega ** order - 1.0):.3e})")
-    w = omega ** j
-    return Poly(tuple(c * w ** k for k, c in enumerate(f.coeffs)))
+    return Poly(f.coeffs * (omega ** j) ** np.arange(f.coeffs.size))
+
+
+def convolution_matrix(f: Poly, ncols: int, rows: int) -> np.ndarray:
+    """Matrix of ``d -> d * f`` on coefficient vectors of length ``ncols``.
+
+    Column ``j`` holds the coefficients of ``z**j * f``, padded with zeros
+    to ``rows >= ncols + deg f``; with ``ncols = 1`` it is the padded
+    coefficient vector of ``f``.
+    """
+    # laid end to end and cut every ``rows`` entries, copies of the column
+    # padded to ``rows + 1`` entries start one row lower each time; the copy
+    # is row-major, so matrix-vector products round as on any other array
+    column = np.zeros(rows + 1, dtype=complex)
+    column[:f.coeffs.size] = f.coeffs
+    return np.concatenate([column] * ncols)[:rows * ncols].reshape(ncols, rows).T.copy()
+
+
+def min_separation(us: np.ndarray, vs: np.ndarray) -> float:
+    """Smallest ``|u - v|`` over two point sets; infinite if either is empty."""
+    gaps = np.abs(np.subtract.outer(us, vs))
+    return float(gaps.min()) if gaps.size else math.inf
 
 
 def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
@@ -209,18 +235,16 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
         return Poly.zero(), f
     gc = g.coeffs
     lead = gc[-1]
-    rem = list(f.coeffs)
-    quot = [0.0 + 0.0j] * (f.degree - dg + 1)
-    for i in range(len(quot) - 1, -1, -1):
+    rem = f.coeffs.copy()
+    quot = np.zeros(f.degree - dg + 1, dtype=complex)
+    for i in range(quot.size - 1, -1, -1):
         c = rem[i + dg] / lead
         quot[i] = c
-        if c != 0:
-            for t in range(dg + 1):
-                rem[i + t] -= c * gc[t]
+        rem[i:i + dg + 1] -= c * gc
     return Poly(quot), Poly(rem[:dg])
 
 
-def roots(f: Poly) -> list[complex]:
+def roots(f: Poly) -> np.ndarray:
     """Root multiset via companion-matrix eigenvalues plus one Newton polish.
 
     Returns ``f.degree`` roots; the monic recomposition agrees with
@@ -230,21 +254,15 @@ def roots(f: Poly) -> list[complex]:
     if f.is_zero:
         raise ValueError("the zero polynomial has no root multiset")
     if f.degree == 0:
-        return []
-    raw = np.roots(np.asarray(f.coeffs[::-1], dtype=complex))
-    df = f.derivative()
-    polished: list[complex] = []
-    for r in raw:
-        r = complex(r)
-        fr = f(r)
-        dr = df(r)
-        if dr != 0:
-            cand = r - fr / dr
-            # keep the Newton step only if it actually improved the residual
-            if abs(f(cand)) <= abs(fr):
-                r = cand
-        polished.append(r)
-    return polished
+        return np.zeros(0, dtype=complex)
+    # np.roots returns floats when every root is real (zero roots, say)
+    raw = np.roots(f.coeffs[::-1]).astype(complex)
+    fr = f.eval_on_array(raw)
+    dr = f.derivative().eval_on_array(raw)
+    # a root where the derivative vanishes keeps a zero step
+    cand = raw - np.divide(fr, dr, out=np.zeros(raw.size, dtype=complex), where=dr != 0)
+    # keep each Newton step only if it actually improved the residual
+    return np.where(np.abs(f.eval_on_array(cand)) <= np.abs(fr), cand, raw)
 
 
 def sylvester_bezout(f: Poly, g: Poly) -> tuple[Poly, Poly]:
@@ -263,26 +281,17 @@ def sylvester_bezout(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     if g.degree == 0:
         return Poly.zero(), Poly.constant(1.0 / g.coefficient(0))
 
-    roots_g = roots(g)
-    sep = min(abs(u - v) for u in roots(f) for v in roots_g)
+    sep = min_separation(roots(f), roots(g))
     if sep < COPRIME_ROOT_SEPARATION:
         raise CoprimalityFailure(
             f"inputs share a root to within {sep:.3e}", separation=sep)
 
     # scale both inputs to unit max coefficient so the system stays balanced
-    sf = max(abs(c) for c in f.coeffs)
-    sg = max(abs(c) for c in g.coeffs)
-    fc = [c / sf for c in f.coeffs]
-    gc = [c / sg for c in g.coeffs]
+    sf = max(_moduli(f.coeffs).tolist())
+    sg = max(_moduli(g.coeffs).tolist())
     m, k = f.degree, g.degree
-
-    system = np.zeros((m + k, m + k), dtype=complex)
-    for i in range(k):
-        for d, c in enumerate(fc):
-            system[i + d, i] = c
-    for i in range(m):
-        for d, c in enumerate(gc):
-            system[i + d, k + i] = c
+    system = np.hstack([convolution_matrix(f, k, m + k) / sf,
+                        convolution_matrix(g, m, m + k) / sg])
 
     try:
         condition = float(np.linalg.norm(system, 1) * np.linalg.norm(np.linalg.inv(system), 1))
@@ -315,35 +324,40 @@ def sylvester_bezout(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     return p, q
 
 
-@dataclass(frozen=True)
+# eq=False: arrays have no single truth value, so paths compare by identity
+@dataclass(frozen=True, eq=False)
 class CirclePath:
     """Values of a function at equispaced points ``exp(2*pi*i*k/m)`` on the
-    unit circle, the discrete loop that winding numbers are read from."""
+    unit circle, the discrete loop that winding numbers are read from; the
+    samples are a read-only complex128 array."""
 
-    samples: tuple[complex, ...]
+    samples: np.ndarray
 
     def __post_init__(self):
-        if len(self.samples) < 16:
+        samples = np.array(self.samples, dtype=complex)
+        if samples.size < 16:
             raise ValueError("a circle path needs at least 16 samples")
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
 
     @classmethod
     def from_function(cls, fn: Callable[[complex], complex], m: int) -> CirclePath:
-        return cls(tuple(complex(fn(z)) for z in circle_points(m)))
+        return cls([fn(z) for z in circle_points(m)])
 
     @property
     def m(self) -> int:
-        return len(self.samples)
+        return self.samples.size
 
     @property
     def min_modulus(self) -> float:
-        return min(abs(s) for s in self.samples)
+        return float(np.min(_moduli(self.samples)))
 
     def __mul__(self, other: CirclePath) -> CirclePath:
         if not isinstance(other, CirclePath):
             return NotImplemented
         if self.m != other.m:
             raise ValueError("pointwise product needs equal sample counts")
-        return CirclePath(tuple(a * b for a, b in zip(self.samples, other.samples)))
+        return CirclePath(self.samples * other.samples)
 
 
 def circle_points(m: int) -> np.ndarray:
@@ -360,10 +374,9 @@ def winding_number(path: CirclePath) -> int:
     otherwise).  The count is invariant under multiplying the path by any
     positive function, and winding numbers of pointwise products add.
     """
-    s = np.asarray(path.samples, dtype=complex)
-    if float(np.min(np.abs(s))) == 0.0:
+    if path.min_modulus == 0.0:
         raise ValueError("path passes through zero; winding number undefined")
-    jumps = np.angle(np.roll(s, -1) / s)
+    jumps = np.angle(np.roll(path.samples, -1) / path.samples)
     max_jump = float(np.max(np.abs(jumps)))
     if max_jump >= PHASE_JUMP_LIMIT:
         raise UndersampledPath(

@@ -18,8 +18,8 @@ from .algebra import AlgMatrix, CrossedElement, GroupSpec
 from .elimination import (BezoutCertificate, VerificationReport, WindingObstruction,
                           verify_bezout, verify_winding)
 from .liftrank import LiftResult
-from .moebius import (FiniteCyclicSubgroup, RotationAction, SU11Element,
-                      verify_conjugation)
+from .moebius import (ConjugationResult, FiniteCyclicSubgroup, RotationAction,
+                      SU11Element, verify_conjugation)
 from .poly import Poly
 
 
@@ -177,6 +177,15 @@ def rotation_action_to_obj(action: RotationAction,
     }
 
 
+def rotation_action_from_obj(obj) -> RotationAction:
+    h, derived = su11_from_obj(obj["h"]), obj["derived_spec"]
+    angles = tuple(float(a) for a in obj["rotation_angles"])
+    return RotationAction(
+        spec=GroupSpec(int(derived["n"]), int(derived["m"])), conjugator=h,
+        conjugation=ConjugationResult(h, float(obj["residual"]), angles, int(obj["order"])),
+        intertwining_residual=float(obj["intertwining_residual"]))
+
+
 # -- verification
 
 def _verify_bezout_obj(obj) -> VerificationReport:
@@ -188,10 +197,8 @@ def _verify_winding_obj(obj) -> VerificationReport:
 
 
 def _verify_conjugation_obj(obj) -> VerificationReport:
-    derived = obj["derived_spec"]
     return verify_conjugation(subgroup_from_obj(obj["subgroup"]),
-                              su11_from_obj(obj["h"]), float(obj["residual"]),
-                              GroupSpec(int(derived["n"]), int(derived["m"])))
+                              rotation_action_from_obj(obj))
 
 
 # keyed by the payload's "type" tag; each entry looks its reader and verifier

@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from crossrank import serialize
 from crossrank.algebra import CrossedElement, GroupSpec
 from crossrank.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_element(path, element):
@@ -109,6 +112,25 @@ def _broken_margin(payload):
     payload["delta"] = 0.9
 
 
+def _wrong_order(payload):
+    assert payload["order"] == 4
+    payload["order"] = 7
+
+
+def _fake_intertwining(payload):
+    payload["intertwining_residual"] = 0.5
+
+
+def _zero_angles(payload):
+    payload["rotation_angles"] = [0.0] * len(payload["rotation_angles"])
+
+
+def _emptied_trials(payload):
+    payload["trials"] = 1000
+    payload["trial_circle_min"] = 5.0
+    payload["trial_windings"] = []
+
+
 def _nan_cofactor(payload):
     payload["cofactors"]["c"]["comps"][0][0][0] = float("nan")
 
@@ -122,6 +144,10 @@ def _nan_residual(payload):
     pytest.param(_bezout_source, _zero_cofactors, 2, id="zero-cofactors"),
     pytest.param(_conjugation_source, _wrong_selector, 2, id="wrong-selector"),
     pytest.param(_winding_source, _broken_margin, 2, id="broken-margin"),
+    pytest.param(_conjugation_source, _wrong_order, 2, id="wrong-order"),
+    pytest.param(_conjugation_source, _fake_intertwining, 2, id="fake-intertwining"),
+    pytest.param(_conjugation_source, _zero_angles, 2, id="zero-angles"),
+    pytest.param(_winding_source, _emptied_trials, 2, id="emptied-trials"),
     pytest.param(_bezout_source, _nan_cofactor, 1, id="nan-cofactor"),
     pytest.param(_bezout_source, _nan_residual, 1, id="nan-residual"),
 ])
@@ -134,6 +160,13 @@ def test_verify_round_trip_and_corruption(tmp_path, source, tamper, code):
     corrupted = tmp_path / "corrupted.json"
     corrupted.write_text(json.dumps(payload))
     assert main(["verify", str(corrupted)]) == code
+
+
+@pytest.mark.parametrize("name", ["bezout", "winding", "conjugation"])
+def test_verify_accepts_stored_certificates(name):
+    # written by an earlier release from the commands of the sources above;
+    # the file format must stay readable and the certificates verifiable
+    assert main(["verify", str(DATA / f"{name}.json")]) == 0
 
 
 def test_verify_truncated_json(tmp_path):

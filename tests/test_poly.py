@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from crossrank.errors import CoprimalityFailure, UndersampledPath
-from crossrank.poly import (CirclePath, Poly, circle_points, poly_divmod,
-                            rotate, roots, sylvester_bezout, winding_number)
+from crossrank.poly import (CirclePath, Poly, circle_points, convolution_matrix,
+                            min_separation, poly_divmod, rotate, roots,
+                            sylvester_bezout, winding_number)
 from crossrank.randomness import random_poly, seeded_generator
 
 
@@ -30,6 +31,13 @@ def test_addition_cancels():
 def test_evaluate_at_i():
     f = Poly([1, 0, 1])  # z^2 + 1
     assert abs(f(1j)) < 1e-15
+
+
+def test_coefficients_are_read_only():
+    f = Poly([1, 2, 3])
+    with pytest.raises(ValueError):
+        f.coeffs[0] = 5
+    assert f == Poly([1, 2, 3])
 
 
 def test_zero_normalization():
@@ -123,6 +131,33 @@ def test_wiener_dominates_sup_on_circle():
     for _ in range(20):
         f = random_poly(rng, 10)
         assert float(np.max(np.abs(f.eval_on_array(zs)))) <= f.wiener_norm() + 1e-9
+
+
+def test_convolution_matrix_matches_convolve():
+    rng = seeded_generator(17)
+    for degree, ncols in ((0, 1), (3, 1), (2, 5), (6, 3)):
+        f = random_poly(rng, degree)
+        rows = ncols + f.degree + 2  # one spare zero row
+        mat = convolution_matrix(f, ncols, rows)
+        assert mat.shape == (rows, ncols) and mat.flags.c_contiguous
+        # column j is z**j * f: convolving with a unit vector is exact
+        for j in range(ncols):
+            expected = np.zeros(rows, dtype=complex)
+            prod = np.convolve(np.eye(ncols)[j], f.coeffs)
+            expected[:prod.size] = prod
+            assert np.array_equal(mat[:, j], expected)
+    assert np.array_equal(convolution_matrix(Poly([1, 2]), 1, 4).ravel(), [1, 2, 0, 0])
+
+
+def test_min_separation_matches_brute_force():
+    rng = seeded_generator(19)
+    for m, k in ((1, 1), (3, 5), (7, 2)):
+        us = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        vs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        brute = min(abs(complex(u) - complex(v)) for u in us for v in vs)
+        assert abs(min_separation(us, vs) - brute) <= 1e-15 * max(1.0, brute)
+    assert min_separation([], [1j]) == float("inf")
+    assert min_separation([1j], []) == float("inf")
 
 
 def test_roots_simple():
