@@ -155,41 +155,42 @@ def _choose_clearing_row(sub_entries: list[Poly], scale: Poly,
 
 
 def _bezout_row(entries: Sequence[Poly]) -> list[Poly]:
-    """Row ``d`` with ``sum(d_i * entries_i) = 1`` by folding pairwise
-    Bezout identities; once the running gcd hits a unit the remaining
-    steps short-circuit through the constant cofactor.
+    """Row ``d`` with ``sum(d_i * entries_i) = 1`` to within ``ORACLE_RESIDUAL_TOL``.
 
-    The fold settles existence; the returned row is then traded for the
-    minimum-norm representative of the same identity, which keeps the
-    elementary row operations built from it (and their inverses) small.
-    Without that reduction the cofactor norms compound through recursive
-    lifts and swamp the deeper columns.  When the fold itself balks at a
-    close-but-distinct root pair, the direct least-squares solve (whose
-    refinement tolerates worse conditioning) is tried before giving up.
+    The minimum-norm representative of the identity comes first: it keeps
+    the elementary row operations built from it (and their inverses)
+    small, where fold cofactors would compound through recursive lifts and
+    swamp the deeper columns.  Only when that solve misses the tolerance
+    are pairwise Bezout identities folded instead; once the running gcd
+    hits a unit the remaining steps short-circuit through the constant
+    cofactor.  A fold that balks at a close root pair, or whose row misses
+    the tolerance too, raises ``CoprimalityFailure``.
     """
-    try:
-        acc = entries[0]
-        cofactors = [Poly.one()]
-        for e in entries[1:]:
-            p, q = sylvester_bezout(acc, e)
-            cofactors = [p * c for c in cofactors] + [q]
-            acc = Poly.one()
-    except CoprimalityFailure:
-        cofactors = None
-    return _minimal_norm_row(entries, cofactors)
+    row, residual = _minimal_norm_row(entries)
+    if residual <= ORACLE_RESIDUAL_TOL:
+        return row
+    acc = entries[0]
+    cofactors = [Poly.one()]
+    for e in entries[1:]:
+        p, q = sylvester_bezout(acc, e)
+        cofactors = [p * c for c in cofactors] + [q]
+        acc = Poly.one()
+    residual = _row_residual(cofactors, entries)
+    if not residual <= ORACLE_RESIDUAL_TOL:
+        raise CoprimalityFailure(
+            f"Bezout row residual {residual:.3e} exceeds {ORACLE_RESIDUAL_TOL:.0e}",
+            residual=residual)
+    return cofactors
 
 
-def _minimal_norm_row(entries: Sequence[Poly],
-                      fallback: list[Poly] | None) -> list[Poly]:
-    """Minimum-norm coefficient-space solution of ``sum(d_i c_i) = 1``.
+def _minimal_norm_row(entries: Sequence[Poly]) -> tuple[list[Poly], float]:
+    """Minimum-norm coefficient-space solution of ``sum(d_i c_i) = 1``,
+    with its identity residual.
 
     Degree caps match the fold's output so the system is consistent.  A
     few iterative-refinement rounds push the identity residual to
     round-off; the residual gets amplified by every level of a recursive
-    lift built on top of this row, so slack here is not affordable.  The
-    fallback row, when provided, is kept whenever the solve fails to
-    reproduce the identity at the oracle tolerance; without one the
-    failure is a genuine coprimality problem.
+    lift built on top of this row, so slack here is not affordable.
     """
     cap = max(max(e.degree for e in entries), 1) + 1
     eq_count = cap + max(e.degree for e in entries) + 1
@@ -203,14 +204,7 @@ def _minimal_norm_row(entries: Sequence[Poly],
             break
         sol = sol + np.linalg.lstsq(system, gap, rcond=None)[0]
     row = [Poly(part) for part in sol.reshape(-1, cap)]
-    residual = _row_residual(row, entries)
-    if residual > ORACLE_RESIDUAL_TOL:
-        if fallback is None:
-            raise CoprimalityFailure(
-                f"least-squares Bezout row residual {residual:.3e}",
-                residual=residual)
-        return fallback
-    return row
+    return row, _row_residual(row, entries)
 
 
 def disk_column_oracle(column: Sequence[Poly], eps: float, rng: np.random.Generator,
@@ -219,11 +213,11 @@ def disk_column_oracle(column: Sequence[Poly], eps: float, rng: np.random.Genera
 
     Shifts constant coefficients by independent random phases (shrinking
     with the attempt number, total budget below ``eps``) until the entries
-    are pairwise coprime over the whole plane, then folds pairwise Bezout
-    identities into a row ``d`` with ``sum(d_i c_i) = 1`` to within 1e-8.
+    are pairwise coprime over the whole plane, then finds a row ``d`` with
+    ``sum(d_i c_i) = 1`` to within ``ORACLE_RESIDUAL_TOL`` (``_bezout_row``).
     Pairwise coprimality is demanded, not just the absence of a common
-    root, because the fold consumes coprime pairs; it implies the weaker
-    condition.
+    root, because the fold fallback consumes coprime pairs; it implies the
+    weaker condition.
     """
     entries = list(column)
     width = len(entries)
@@ -264,8 +258,6 @@ def disk_column_oracle(column: Sequence[Poly], eps: float, rng: np.random.Genera
         try:
             row = _bezout_row(cand)
         except CoprimalityFailure:
-            continue
-        if _row_residual(row, cand) > ORACLE_RESIDUAL_TOL:
             continue
         # keep the best-conditioned admissible attempt: oversized rows feed
         # oversized row operations in the lifts built on top of this oracle

@@ -44,10 +44,11 @@ class Poly:
     Trailing coefficients whose modulus is at most ``trim`` times the
     largest coefficient modulus are discarded on construction, which keeps
     numerically produced values in normal form.  Instances are immutable
-    and all operations are pure.
+    and all operations are pure; ``roots`` keeps its result on the
+    instance.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_roots")
 
     def __init__(self, coeffs: Iterable[complex] = (), trim: float = TRIM_RELATIVE):
         cs = np.array(coeffs, dtype=complex)
@@ -62,6 +63,7 @@ class Poly:
                 cs = cs[:kept[-1] + 1] if kept.size else cs[:0]
         cs.setflags(write=False)
         self._coeffs = cs
+        self._roots = None
 
     # -- construction helpers
 
@@ -169,9 +171,6 @@ class Poly:
             result += c
         return result
 
-    def derivative(self) -> Poly:
-        return Poly(self._coeffs[1:] * np.arange(1, self._coeffs.size), trim=0.0)
-
     def wiener_norm(self) -> float:
         """Sum of coefficient moduli; zero iff the polynomial is zero."""
         return float(sum(_moduli(self._coeffs).tolist()))
@@ -249,20 +248,37 @@ def roots(f: Poly) -> np.ndarray:
 
     Returns ``f.degree`` roots; the monic recomposition agrees with
     ``f / lead(f)`` coefficient-wise to about 1e-8 relative for
-    well-separated roots.  The zero polynomial is rejected.
+    well-separated roots.  The zero polynomial is rejected.  ``Poly`` is
+    immutable, so the root set is solved once and kept on ``f``: the result
+    is a read-only array, and every later call on the same instance returns
+    that same array.
     """
+    if f._roots is not None:
+        return f._roots
     if f.is_zero:
         raise ValueError("the zero polynomial has no root multiset")
-    if f.degree == 0:
-        return np.zeros(0, dtype=complex)
-    # np.roots returns floats when every root is real (zero roots, say)
-    raw = np.roots(f.coeffs[::-1]).astype(complex)
-    fr = f.eval_on_array(raw)
-    dr = f.derivative().eval_on_array(raw)
+    cs = f.coeffs
+    # the companion matrix np.roots builds: low-order zero coefficients are
+    # roots at the origin, appended after the eigenvalues of the rest
+    low = int(np.flatnonzero(cs)[0])
+    core = cs[low:]
+    raw = np.zeros(f.degree, dtype=complex)
+    if core.size > 1:
+        companion = np.eye(core.size - 1, k=-1, dtype=complex)
+        companion[0] = -core[-2::-1] / core[-1]
+        raw[:core.size - 1] = np.linalg.eigvals(companion)
+    # f and f' at every eigenvalue at once
+    powers = np.vander(raw, cs.size, increasing=True)
+    fr = powers @ cs
+    dr = powers[:, :-1] @ (cs[1:] * np.arange(1, cs.size))
     # a root where the derivative vanishes keeps a zero step
     cand = raw - np.divide(fr, dr, out=np.zeros(raw.size, dtype=complex), where=dr != 0)
     # keep each Newton step only if it actually improved the residual
-    return np.where(np.abs(f.eval_on_array(cand)) <= np.abs(fr), cand, raw)
+    fc = np.vander(cand, cs.size, increasing=True) @ cs
+    out = np.where(np.abs(fc) <= np.abs(fr), cand, raw)
+    out.setflags(write=False)
+    f._roots = out
+    return out
 
 
 def sylvester_bezout(f: Poly, g: Poly) -> tuple[Poly, Poly]:

@@ -4,13 +4,16 @@ from __future__ import annotations
 import functools
 import operator
 
+import numpy as np
 import pytest
 
+from crossrank import liftrank
 from crossrank.algebra import AlgMatrix, CrossedElement, GroupSpec
-from crossrank.errors import OracleFailure, PerturbationExhausted
+from crossrank.elimination import bezout_certificate
+from crossrank.errors import CoprimalityFailure, OracleFailure, PerturbationExhausted
 from crossrank.liftrank import (ElementaryOp, disk_column_oracle,
                                 left_invertible_lift, lift_generating_tuple)
-from crossrank.poly import Poly, roots
+from crossrank.poly import Poly, roots, sylvester_bezout
 from crossrank.randomness import random_crossed, random_poly, seeded_generator
 
 
@@ -62,6 +65,71 @@ def test_oracle_folds_triple():
     assert sum((c - o).wiener_norm() for c, o in zip(col, col0)) < 0.1
     combo = functools.reduce(operator.add, (d * c for d, c in zip(row, col)))
     assert (combo - Poly.one()).wiener_norm() < 1e-8
+
+
+def counting_fold(monkeypatch) -> list:
+    calls = []
+
+    def fold(f, g):
+        calls.append((f, g))
+        return sylvester_bezout(f, g)
+
+    monkeypatch.setattr(liftrank, "sylvester_bezout", fold)
+    return calls
+
+
+def test_no_fold_when_least_squares_row_passes(monkeypatch):
+    calls = counting_fold(monkeypatch)
+    entries = [Poly.from_roots([0.5, -0.25j]), Poly.from_roots([0.1, 2.0])]
+    row = liftrank._bezout_row(entries)
+    combo = functools.reduce(operator.add, (d * c for d, c in zip(row, entries)))
+    assert (combo - Poly.one()).wiener_norm() < 1e-8
+    rng = seeded_generator(5100)
+    mat = AlgMatrix([[random_poly(rng, 3, 0.5) for _ in range(2)] for _ in range(3)])
+    assert left_invertible_lift(mat, 0.1, disk_column_oracle, rng).residual < 1e-6
+    assert calls == []
+
+
+def test_fold_only_when_least_squares_row_misses(monkeypatch):
+    calls = counting_fold(monkeypatch)
+    entries = [Poly.from_roots([0.5, -0.25j]), Poly.from_roots([0.1, 2.0])]
+
+    def missing_lstsq(a, b, rcond=None):
+        return np.zeros(a.shape[1], dtype=complex), None, 0, None
+
+    monkeypatch.setattr(np.linalg, "lstsq", missing_lstsq)
+    assert liftrank._bezout_row(entries) == list(sylvester_bezout(*entries))
+    assert len(calls) == 1
+
+    def balking_fold(f, g):
+        raise CoprimalityFailure("stub")
+
+    monkeypatch.setattr(liftrank, "sylvester_bezout", balking_fold)
+    with pytest.raises(CoprimalityFailure):
+        liftrank._bezout_row(entries)
+    # a fold row that misses the oracle tolerance is rejected as well
+    monkeypatch.setattr(liftrank, "sylvester_bezout",
+                        lambda f, g: (Poly.zero(), Poly.zero()))
+    with pytest.raises(CoprimalityFailure):
+        liftrank._bezout_row(entries)
+
+
+def test_bezout_certificate_solves_each_root_set_once(monkeypatch):
+    spec = GroupSpec(2)
+    rng = seeded_generator(12)
+    x, y = random_crossed(rng, spec, 3), random_crossed(rng, spec, 3)
+    solves = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        solves.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    cert = bezout_certificate(x, y, 0.1, rng)
+    # the first draw is accepted: both inputs are kept unperturbed
+    assert cert.a == x and cert.b == y
+    assert len(solves) == 2
 
 
 def test_oracle_needs_width_two():

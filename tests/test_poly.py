@@ -194,6 +194,41 @@ def test_roots_rejects_zero():
         roots(Poly())
 
 
+def same_root_multiset(ours: np.ndarray, reference: np.ndarray, rel: float) -> bool:
+    """Pair every root with a distinct nearest reference root within ``rel``."""
+    left = list(reference)
+    for r in ours:
+        k = min(range(len(left)), key=lambda i: abs(left[i] - r))
+        if abs(left.pop(k) - r) > rel * abs(r):
+            return False
+    return not left
+
+
+def test_roots_match_numpy_companion_solve():
+    rng = seeded_generator(31)
+    cases = []
+    for degree in range(1, 33):
+        cs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        cases.append(Poly(cs))
+        # roots at the origin: zero low-order coefficients
+        cs[:1 + degree // 3] = 0.0
+        cases.append(Poly(cs))
+    cases.append(Poly.from_roots([-2.0, -0.5, 0.3, 1.7, 3.1]))
+    for f in cases:
+        ours = roots(f)
+        assert ours.shape == (f.degree,) and ours.dtype == complex
+        assert same_root_multiset(ours, np.roots(f.coeffs[::-1]), 1e-12), f
+    assert roots(Poly.constant(2.5j)).shape == (0,)
+
+
+def test_roots_solved_once_read_only():
+    f = Poly([0.25, -1.0, 0.5j, 1.0])
+    rs = roots(f)
+    assert roots(f) is rs
+    with pytest.raises(ValueError):
+        rs[0] = 0.0
+
+
 def test_bezout_linear_pair():
     p, q = sylvester_bezout(Poly([0, 1]), Poly([-1, 1]))
     assert close(p, Poly([1]), 1e-12)
