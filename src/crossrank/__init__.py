@@ -17,8 +17,8 @@ from .elimination import (BezoutCertificate, EliminationTrace, ScalingReport,
                           VerificationReport, WindingObstruction,
                           bezout_certificate, closed_form_top_n2,
                           closed_form_top_n3, eliminate, homogeneity_check,
-                          perturb_avoiding, verify_bezout, verify_winding,
-                          winding_obstruction)
+                          perturb_avoiding, reduced_norm, verify_bezout,
+                          verify_winding, winding_obstruction)
 from .errors import (CoprimalityFailure, GroupMismatch, GroupTooSmall,
                      IllConditionedGram, NonRealImage, OracleFailure,
                      PerturbationExhausted, ToolkitError, UndersampledPath,

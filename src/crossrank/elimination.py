@@ -11,12 +11,19 @@ zeroes out ``k`` consecutive delta-components at stage ``k`` and terminates
 in an element supported on ``delta^0`` alone.  Every stage is reached by
 left multiplication, and the same recursion applied to the multipliers
 tracks an explicit witness ``L^(k,j)`` with ``L^(k,j) * a = a^(k,j)``.
+This is the paper's construction; its top stage has degree
+``deg(a) * 2**(n-1)``.
 
-Two certificate types come out of this machinery:
+The certificates reach ``delta^0`` in one step instead, through the
+reduced norm: row 0 of the adjugate of the matrix embedding ``pi(a)`` is
+an element ``adj`` with ``adj * a = det pi(a) delta^0``, and ``det pi(a)``
+is a polynomial in ``w = z**n`` of degree at most ``deg(a)``.
+
+Two certificate types live here:
 
 * ``BezoutCertificate`` — cofactors exhibiting ``delta^0`` in the left
   ideal generated by a perturbed pair, the witness that pairs generate
-  densely (stable rank at most two).
+  densely (stable rank at most two), built from the reduced norms.
 * ``WindingObstruction`` — the winding number of the determinant loop of
   the matrix embedding, the witness that single elements near the
   coordinate function cannot generate (stable rank at least two).
@@ -31,7 +38,8 @@ import numpy as np
 
 from .algebra import CrossedElement, GroupSpec, det_on_circle, matrix_embedding
 from .errors import CoprimalityFailure, GroupMismatch, GroupTooSmall, PerturbationExhausted
-from .poly import Poly, min_separation, roots, sylvester_bezout, winding_number
+from .poly import (Poly, grid_coeffs, grid_values, min_separation, roots,
+                   sylvester_bezout, winding_number)
 
 CERTIFICATE_TOL = 1e-6
 VERIFY_AGREEMENT_TOL = 1e-9
@@ -55,9 +63,6 @@ class EliminationTrace:
 
     def level(self, k: int, j: int) -> CrossedElement:
         return self.levels[(k, j)]
-
-    def multiplier(self, k: int, j: int) -> CrossedElement:
-        return self.multipliers[(k, j)]
 
     @property
     def top(self) -> CrossedElement:
@@ -172,17 +177,47 @@ def homogeneity_check(a: CrossedElement, scale: complex) -> ScalingReport:
     return ScalingReport(scale, deviations)
 
 
+def reduced_norm(a: CrossedElement) -> tuple[Poly, CrossedElement]:
+    """The reduced norm ``D = det pi(a)`` as a polynomial in ``w = z**n``,
+    and the element ``adj`` with ``adj * a = D(z**n) delta^0``.
+
+    Entry ``(0, k)`` of ``pi(x)`` is ``x_k``, so ``adj`` is row 0 of the
+    adjugate of ``pi(a)``: entry ``k`` is ``(-1)**k`` times the minor of
+    ``pi(a)`` without row ``k`` and column 0.  The twist conjugates
+    ``pi(a)`` by a cyclic permutation, so ``det pi(a)`` is invariant under
+    ``z -> omega * z`` and has degree at most ``d`` in ``w``, ``d`` being
+    the largest component degree.  Both are computed on ``n*(d+1)`` roots
+    of unity, where ``alpha^h`` is a roll by ``h*m*(d+1)`` points, and the
+    minors need no division, so a singular ``pi(a)`` is no special case.
+    """
+    spec = a.spec
+    n = spec.n
+    size = n * (max(max(c.degree for c in a.comps), 0) + 1)
+    values = grid_values(a.comps, size)
+    j = np.arange(size)[:, None, None]
+    h = np.arange(n)[None, :, None]
+    k = np.arange(n)[None, None, :]
+    # entry (h, k) of pi(a) is alpha^h(a_{k-h}), and alpha^h(f)(z) = f(omega^h z)
+    grid = values[(k - h) % n, (j + h * spec.m * (size // n)) % size]
+    # keep[r] lists the rows other than r, in order
+    keep = np.array([[i for i in range(n) if i != r] for r in range(n)], dtype=int)
+    minors = np.linalg.det(grid[:, keep, 1:]).T
+    minors[1::2] *= -1
+    norm = Poly(grid_coeffs(np.linalg.det(grid))[::n])
+    return norm, CrossedElement(spec, (Poly(row) for row in grid_coeffs(minors)))
+
+
 def perturb_avoiding(a: CrossedElement, avoid: Iterable[complex], eps: float,
                      rng: np.random.Generator,
                      max_attempts: int = PERTURB_MAX_ATTEMPTS,
-                     force: bool = False) -> EliminationTrace:
-    """Nudge the constant coefficient of ``a_0`` until the top-stage roots
-    clear the set ``avoid``.
+                     force: bool = False) -> tuple[CrossedElement, Poly, CrossedElement]:
+    """Nudge the constant coefficient of ``a_0`` until the roots of the
+    reduced norm clear the set ``avoid``.
 
-    Returns the elimination trace of ``b`` (``b`` is its ``input``) with
-    ``|a - b| < eps``, differing from ``a`` only in the constant
-    coefficient of the identity component, whose top stage is nonzero
-    with every root at distance greater than
+    Returns ``(b, D, adj)`` with ``(D, adj) = reduced_norm(b)`` and
+    ``|a - b| < eps``, where ``b`` differs from ``a`` only in the constant
+    coefficient of the identity component, ``D`` is nonzero, and every
+    root of ``D`` (in ``w = z**n``) lies at distance greater than
     ``1e-4 * (1 + max|avoid|)`` from every avoided point.  The unperturbed
     input is accepted when it already qualifies, unless ``force`` asks for
     a fresh draw.  Attempt ``t`` adds a uniformly random phase of modulus
@@ -197,32 +232,31 @@ def perturb_avoiding(a: CrossedElement, avoid: Iterable[complex], eps: float,
 
     best_sep: float | None = None
 
-    def admissible(candidate: CrossedElement) -> EliminationTrace | None:
+    def admissible(candidate: CrossedElement):
         nonlocal best_sep
-        trace = eliminate(candidate)
-        top = trace.top_poly
-        if top.is_zero:
+        norm, adj = reduced_norm(candidate)
+        if norm.is_zero:
             return None
-        if not avoid.size or top.degree == 0:
-            return trace
-        sep = min_separation(roots(top), avoid)
+        if not avoid.size or norm.degree == 0:
+            return candidate, norm, adj
+        sep = min_separation(roots(norm), avoid)
         if best_sep is None or sep > best_sep:
             best_sep = sep
-        return trace if sep > threshold else None
+        return (candidate, norm, adj) if sep > threshold else None
 
     if not force:
-        trace = admissible(a)
-        if trace is not None:
-            return trace
+        found = admissible(a)
+        if found is not None:
+            return found
 
     for t in range(1, max_attempts + 1):
         modulus = 0.5 * eps * (1.0 - t / 128.0)
         shift = modulus * np.exp(2j * np.pi * rng.uniform())
         comps = list(a.comps)
         comps[0] = comps[0] + Poly.constant(shift)
-        trace = admissible(CrossedElement(spec, comps))
-        if trace is not None:
-            return trace
+        found = admissible(CrossedElement(spec, comps))
+        if found is not None:
+            return found
 
     raise PerturbationExhausted(
         f"no admissible perturbation within {max_attempts} attempts "
@@ -237,7 +271,8 @@ class BezoutCertificate:
 
     Stores the inputs, the perturbed approximants, and cofactors with
     ``c*a + d*b = delta^0``; re-verification needs two convolutions and a
-    norm, nothing from the generator's internal state.
+    norm, nothing from the generator's internal state or from the way the
+    cofactors were found.
     """
 
     x: CrossedElement
@@ -257,19 +292,29 @@ class BezoutCertificate:
         return self.x.spec
 
 
+def _in_z(f: Poly, n: int) -> Poly:
+    """``f(z**n)``: a polynomial in ``w = z**n`` written in ``z``."""
+    coeffs = np.zeros(max(n * f.degree + 1, 0), dtype=complex)
+    coeffs[::n] = f.coeffs
+    return Poly(coeffs)
+
+
 def bezout_certificate(x: CrossedElement, y: CrossedElement, eps: float,
                        rng: np.random.Generator, seed: int | None = None,
                        max_retries: int = 8) -> BezoutCertificate:
     """Produce a Bezout certificate for a pair within ``eps`` of ``(x, y)``.
 
-    Perturbs ``x`` so its top stage is nonzero, perturbs ``y`` so the two
-    top-stage polynomials share no root anywhere in the plane, then solves
-    for cofactors of the two ``delta^0`` polynomials and pulls them back
-    through the tracked multipliers.  Coprimality is demanded over all of
-    the complex plane (stronger than on the disk alone) so the cofactors
+    Perturbs ``x`` so its reduced norm ``D_a`` is nonzero, perturbs ``y``
+    so the two reduced norms share no root anywhere in the plane, then
+    solves ``p*D_a + q*D_b = 1`` in ``w = z**n`` and sets
+    ``c = p(z**n) delta^0 * adj_a`` and ``d = q(z**n) delta^0 * adj_b``
+    (see ``reduced_norm``).  The reduced norms have degree at most the
+    largest component degree at every group order, so the Sylvester system
+    stays small however large ``n`` is.  Coprimality is demanded over all
+    of the complex plane (stronger than on the disk alone) so the cofactors
     stay polynomial.
 
-    An occasional draw produces top stages whose resultant is so small
+    An occasional draw produces reduced norms whose resultant is so small
     that the cofactor residual cannot be certified in double precision;
     each retry redraws both perturbations (within the same budgets), which
     reshuffles the resultant by orders of magnitude.
@@ -285,18 +330,18 @@ def bezout_certificate(x: CrossedElement, y: CrossedElement, eps: float,
     last: CoprimalityFailure | None = None
     for attempt in range(max_retries):
         fresh = attempt > 0
-        trace_a = perturb_avoiding(x, (), half, rng, force=fresh)
-        a, fa = trace_a.input, trace_a.top_poly
-        trace_b = perturb_avoiding(y, roots(fa), half, rng, force=fresh)
-        b, fb = trace_b.input, trace_b.top_poly
+        a, norm_a, adj_a = perturb_avoiding(x, (), half, rng, force=fresh)
+        b, norm_b, adj_b = perturb_avoiding(y, roots(norm_a), half, rng, force=fresh)
 
         try:
-            p, q = sylvester_bezout(fa, fb)
+            p, q = sylvester_bezout(norm_a, norm_b)
         except CoprimalityFailure as exc:
             last = exc
             continue
-        c = CrossedElement.monomial(spec, 0, p) * trace_a.multiplier(n - 1, 1)
-        d = CrossedElement.monomial(spec, 0, q) * trace_b.multiplier(n - 1, 1)
+        # p(z^n) delta^0 * adj_a, component by component
+        pz, qz = _in_z(p, n), _in_z(q, n)
+        c = CrossedElement(spec, (pz * comp for comp in adj_a.comps))
+        d = CrossedElement(spec, (qz * comp for comp in adj_b.comps))
 
         residual = (c * a + d * b - CrossedElement.unit(spec)).l1_norm()
         if residual >= CERTIFICATE_TOL:

@@ -1,6 +1,7 @@
 """Complex polynomial arithmetic plus the numeric services shared by the
-other modules: Wiener norms, rotation twists, root finding, Bezout
-cofactors, and winding numbers of circle paths.
+other modules: Wiener norms, rotation twists, values on grids of roots
+of unity, root finding, Bezout cofactors, and winding numbers of circle
+paths.
 
 Polynomials model disk-algebra elements: they are dense in the algebra of
 functions holomorphic on the open unit disk and continuous up to the
@@ -217,6 +218,28 @@ def convolution_matrix(f: Poly, ncols: int, rows: int) -> np.ndarray:
     column = np.zeros(rows + 1, dtype=complex)
     column[:f.coeffs.size] = f.coeffs
     return np.concatenate([column] * ncols)[:rows * ncols].reshape(ncols, rows).T.copy()
+
+
+def grid_values(polys: Iterable[Poly], size: int) -> np.ndarray:
+    """Values of each polynomial at the ``size``-th roots of unity.
+
+    Row ``r`` holds ``polys[r]`` at ``exp(2j*pi*k/size)`` for
+    ``k = 0..size-1``; a degree of ``size`` or more raises ``ValueError``.
+    The values of ``f(exp(2j*pi*s/size) * z)`` are those of ``f`` rolled by
+    ``s`` points, ``np.roll(row, -s)``.
+    """
+    coeffs = [f.coeffs for f in polys]
+    padded = np.zeros((len(coeffs), size), dtype=complex)
+    for row, cs in zip(padded, coeffs):
+        row[:cs.size] = cs  # numpy refuses to broadcast a longer row
+    return size * np.fft.ifft(padded, axis=-1)
+
+
+def grid_coeffs(values: np.ndarray) -> np.ndarray:
+    """Inverse of ``grid_values``: coefficient rows of the polynomials of
+    degree below ``size`` that take the given values, ``size`` being the
+    length of the last axis."""
+    return np.fft.fft(values, axis=-1) / values.shape[-1]
 
 
 def min_separation(us: np.ndarray, vs: np.ndarray) -> float:

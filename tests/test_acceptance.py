@@ -192,8 +192,9 @@ def test_criterion_6_moebius(tmp_path):
         worst = max(worst, result.residual)
         assert result.residual < 1e-8
 
-    # component degrees scale down with the order: the eliminated top stage
-    # has degree cap * 2**(n-1), and certified cofactors need that below ~32
+    # caps chosen when cofactors came from the elimination cascade, whose
+    # top stage has degree cap * 2**(n-1); the reduced norm certifies these
+    # with room to spare (its degree in w = z^n is the cap itself)
     degree_caps = {2: 4, 3: 4, 4: 2, 5: 1}
     for order in (2, 3, 4, 5):
         sub = tmp_path / f"subgroup-{order}.json"

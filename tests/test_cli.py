@@ -162,10 +162,12 @@ def test_verify_round_trip_and_corruption(tmp_path, source, tamper, code):
     assert main(["verify", str(corrupted)]) == code
 
 
-@pytest.mark.parametrize("name", ["bezout", "winding", "conjugation"])
+@pytest.mark.parametrize("name", ["bezout", "winding", "conjugation", "bezout-cascade-n3"])
 def test_verify_accepts_stored_certificates(name):
-    # written by an earlier release from the commands of the sources above;
-    # the file format must stay readable and the certificates verifiable
+    # written by earlier releases from the commands of the sources above
+    # (bezout-cascade-n3: random --seed 11 --n 3, then cert-upper --seed 11,
+    # cofactors from the elimination cascade); the file format must stay
+    # readable and the certificates verifiable
     assert main(["verify", str(DATA / f"{name}.json")]) == 0
 
 
@@ -246,11 +248,39 @@ def test_missing_file_is_malformed(tmp_path):
 
 
 def test_cert_upper_mathematical_failure_is_exit_two(tmp_path, capsys):
-    # order 5 at degree cap 4 runs into the cofactor conditioning wall
+    # order 8 at degree cap 64 runs into the cofactor conditioning wall
     stem = tmp_path / "pair"
-    assert main(["random", "--seed", "424242", "--n", "5", "--degree-cap", "4",
+    assert main(["random", "--seed", "1", "--n", "8", "--degree-cap", "64",
                  "--out", str(stem)]) == 0
     code = main(["cert-upper", f"{stem}-x.json", f"{stem}-y.json",
-                 "--seed", "424242", "--out", str(tmp_path / "cert.json")])
+                 "--seed", "1", "--out", str(tmp_path / "cert.json")])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def _certify_random_pair(tmp_path, seed, n, cap):
+    """``random`` then ``cert-upper`` with the same seed; the exit codes of
+    ``cert-upper`` and of ``verify`` on its output."""
+    stem = tmp_path / f"pair-{n}-{cap}-{seed}"
+    assert main(["random", "--seed", str(seed), "--n", str(n), "--degree-cap",
+                 str(cap), "--out", str(stem)]) == 0
+    cert = tmp_path / f"cert-{n}-{cap}-{seed}.json"
+    code = main(["cert-upper", f"{stem}-x.json", f"{stem}-y.json",
+                 "--seed", str(seed), "--out", str(cert)])
+    return code, main(["verify", str(cert)]) if code == 0 else None
+
+
+def test_cert_upper_order_five_cap_one(tmp_path):
+    # the elimination cascade put these at degree 16 and failed seeds 1, 17,
+    # 23, 24 and 29; the reduced norms have degree 1 in w = z^5
+    codes = {seed: _certify_random_pair(tmp_path, seed, 5, 1) for seed in range(40)}
+    assert codes == {seed: (0, 0) for seed in range(40)}
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_cert_upper_high_orders_cap_four(tmp_path, n):
+    # the cascade's top stage has degree 4 * 2^(n-1), 64 to 512, past its wall
+    for seed in range(3):
+        assert _certify_random_pair(tmp_path, seed, n, 4) == (0, 0)

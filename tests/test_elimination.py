@@ -4,14 +4,15 @@ from __future__ import annotations
 import pytest
 import sympy as sp
 
-from crossrank.algebra import CrossedElement, GroupSpec
+from crossrank.algebra import (CrossedElement, GroupSpec, det_on_circle,
+                               matrix_embedding)
 from crossrank.elimination import (bezout_certificate, closed_form_top_n2,
                                    closed_form_top_n3, eliminate,
                                    homogeneity_check, perturb_avoiding,
-                                   verify_bezout, verify_winding,
+                                   reduced_norm, verify_bezout, verify_winding,
                                    winding_obstruction)
-from crossrank.errors import GroupTooSmall
-from crossrank.poly import Poly, roots
+from crossrank.errors import CoprimalityFailure, GroupTooSmall
+from crossrank.poly import Poly, circle_points, roots
 from crossrank.randomness import random_crossed, seeded_generator
 
 
@@ -169,24 +170,73 @@ def test_scaling_doubles_per_level():
         assert dist(top_scaled, (lam ** 8) * trace.top) < 1e-8
 
 
+# -- the reduced norm
+
+def in_z(f, spec):
+    """``f(z**n)`` as an element supported on ``delta^0``."""
+    coeffs = [0.0] * (spec.n * f.degree + 1)
+    coeffs[::spec.n] = f.coeffs.tolist()
+    return CrossedElement.monomial(spec, 0, Poly(coeffs))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_reduced_norm_adjugate_row(n):
+    rng = seeded_generator(50 + n)
+    for m in {1, n - 1}:
+        a = random_crossed(rng, GroupSpec(n, m), 4)
+        norm, adj = reduced_norm(a)
+        assert norm.degree == 4
+        scale = adj.l1_norm() * a.l1_norm()
+        assert dist(adj * a, in_z(norm, a.spec)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_reduced_norm_is_the_determinant(n):
+    a = random_crossed(seeded_generator(60 + n), GroupSpec(n), 4)
+    norm, _ = reduced_norm(a)
+    dets = det_on_circle(matrix_embedding(a), 64).samples
+    values = in_z(norm, a.spec).component(0).eval_on_array(circle_points(64))
+    assert max(abs(values - dets)) < 1e-12 * max(abs(dets))
+
+
+def test_reduced_norm_order_two_is_the_top_stage():
+    # the order-2 top stage is det pi(a)
+    rng = seeded_generator(70)
+    for _ in range(10):
+        a = random_crossed(rng, GroupSpec(2), 4)
+        norm, _ = reduced_norm(a)
+        assert dist(in_z(norm, a.spec), closed_form_top_n2(a)) < 1e-12 * a.l1_norm() ** 2
+
+
+def test_reduced_norm_singular_on_the_grid():
+    # pi((1 - z) delta^0) = diag(1 - z, 1 + z) is singular at z = 1 and z = -1,
+    # both grid points; the zero element is singular everywhere
+    spec = GroupSpec(2)
+    a = CrossedElement.monomial(spec, 0, Poly([1, -1]))
+    norm, adj = reduced_norm(a)
+    assert (norm - Poly([1, -1])).wiener_norm() < 1e-15
+    assert dist(adj, CrossedElement.monomial(spec, 0, Poly([1, 1]))) < 1e-15
+    norm, adj = reduced_norm(CrossedElement.zero(spec))
+    assert norm.is_zero and adj.is_zero
+
+
 # -- perturbation with root avoidance
 
 def test_perturb_zero_budget_path():
     spec = GroupSpec(2)
     a = CrossedElement(spec, [Poly.monomial(1), Poly.one()])
     rng = seeded_generator(5)
-    assert perturb_avoiding(a, (), 0.1, rng).input == a
+    assert perturb_avoiding(a, (), 0.1, rng)[0] == a
 
 
 def test_perturb_moves_roots_off_target():
-    # top stage of z d^0 + d^1 is -z^2 - 1 with roots at +/- i
+    # the reduced norm of z d^0 + d^1 is -w - 1 with its root at w = -1
     spec = GroupSpec(2)
     a = CrossedElement(spec, [Poly.monomial(1), Poly.one()])
     rng = seeded_generator(6)
-    b = perturb_avoiding(a, [1j], 0.1, rng).input
+    b, norm, _ = perturb_avoiding(a, [-1], 0.1, rng)
     assert dist(a, b) < 0.1
-    top = eliminate(b).top_poly
-    assert min(abs(r - 1j) for r in roots(top)) > 1e-4 * 2
+    assert min(abs(r + 1) for r in roots(norm)) > 1e-4 * 2
     # only the constant coefficient of the identity component moved
     assert b.component(1) == a.component(1)
     assert (b.component(0) - a.component(0)).degree <= 0
@@ -197,10 +247,10 @@ def test_perturb_separates_independent_tops():
     spec = GroupSpec(3)
     x = random_crossed(rng, spec, 2)
     y = random_crossed(rng, spec, 2)
-    fx = eliminate(perturb_avoiding(x, (), 0.05, rng).input).top_poly
+    _, fx, _ = perturb_avoiding(x, (), 0.05, rng)
     avoid = roots(fx)
-    b = perturb_avoiding(y, avoid, 0.05, rng).input
-    fb = eliminate(b).top_poly
+    b = perturb_avoiding(y, avoid, 0.05, rng)[0]
+    fb = reduced_norm(b)[0]
     sep = min(abs(u - v) for u in roots(fb) for v in avoid)
     assert sep > 1e-4
 
@@ -260,13 +310,12 @@ def test_certificate_with_non_principal_root():
 
 
 def test_certificate_degree_wall_fails_cleanly():
-    # order 5 with degree-4 components puts the eliminated stage at degree
-    # 64, beyond what double-precision cofactors can certify
-    from crossrank.errors import CoprimalityFailure
-    spec = GroupSpec(5)
-    rng = seeded_generator(424242)
-    x = random_crossed(rng, spec, 4)
-    y = random_crossed(rng, spec, 4)
+    # order 8 with degree-64 components puts the reduced norms at degree 64
+    # in w = z^8, beyond what double-precision cofactors can certify
+    spec = GroupSpec(8)
+    rng = seeded_generator(1)
+    x = random_crossed(rng, spec, 64)
+    y = random_crossed(rng, spec, 64)
     with pytest.raises(CoprimalityFailure):
         bezout_certificate(x, y, 0.1, rng, max_retries=2)
 

@@ -1,8 +1,12 @@
 """Byte identity with stored outputs: a speed-up must not move a single byte.
 
-The files under ``data/golden-*`` were written by the release before root
-sets were memoised and the column oracle's Bezout fold became a fallback;
-each test regenerates one of them from the same seed and compares bytes.
+Each test regenerates one file under ``data/golden-*`` from the same seed
+and compares bytes.  The two lift files were written by the release before
+root sets were memoised and the column oracle's Bezout fold became a
+fallback.  ``golden-cert-upper-n3.json`` was written when Bezout cofactors
+moved from the elimination cascade to the reduced norm; the cascade's
+certificate for the same command is kept as ``data/bezout-cascade-n3.json``,
+which ``tests/test_cli.py`` still verifies.
 """
 from __future__ import annotations
 

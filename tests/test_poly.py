@@ -8,8 +8,9 @@ import pytest
 
 from crossrank.errors import CoprimalityFailure, UndersampledPath
 from crossrank.poly import (CirclePath, Poly, circle_points, convolution_matrix,
-                            min_separation, poly_divmod, rotate, roots,
-                            sylvester_bezout, winding_number)
+                            grid_coeffs, grid_values, min_separation,
+                            poly_divmod, rotate, roots, sylvester_bezout,
+                            winding_number)
 from crossrank.randomness import random_poly, seeded_generator
 
 
@@ -266,6 +267,21 @@ def test_bezout_detects_shared_root():
 def test_circle_path_minimum_samples():
     with pytest.raises(ValueError):
         CirclePath((1.0,) * 8)
+
+
+def test_grid_values_and_coeffs():
+    rng = seeded_generator(30)
+    polys = [random_poly(rng, 5), Poly.zero(), Poly.constant(2.0)]
+    values = grid_values(polys, 24)
+    zs = np.exp(2j * np.pi * np.arange(24) / 24)
+    for f, row, cs in zip(polys, values, grid_coeffs(values)):
+        assert np.max(np.abs(row - f.eval_on_array(zs))) < 1e-12
+        assert close(Poly(cs), f)
+    # the twist by a 6th root of unity is a roll by 24/6 points
+    twisted = rotate(polys[0], cmath.exp(2j * cmath.pi / 6))
+    assert np.max(np.abs(np.roll(values[0], -4) - grid_values([twisted], 24)[0])) < 1e-12
+    with pytest.raises(ValueError):
+        grid_values(polys, 5)
 
 
 def test_winding_of_powers():
