@@ -23,7 +23,7 @@ from .errors import (CoprimalityFailure, GroupMismatch, GroupTooSmall,
                      IllConditionedGram, NonRealImage, OracleFailure,
                      PerturbationExhausted, ToolkitError, UndersampledPath,
                      VanishingDeterminant)
-from .liftrank import (ElementaryOp, LiftResult, TupleLift, disk_column_oracle,
+from .liftrank import (LiftResult, TupleLift, disk_column_oracle,
                        left_invertible_lift, lift_generating_tuple)
 from .moebius import (ConjugationResult, FiniteCyclicSubgroup, RotationAction,
                       SL2RMatrix, SU11Element, average_gram,

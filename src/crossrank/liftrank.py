@@ -1,14 +1,19 @@
 """Constructive density of left-invertible tall matrices, and tuple lifting
 through the expectation picture of the crossed product.
 
-``left_invertible_lift`` runs the classical induction: densify the tail of
-the first column through a base-case oracle, clear the column with
-elementary row operations, recurse on the remaining block, and transport
-the result (and its left inverse) back through the explicit elementary
-factors.  The only oracle shipped is ``disk_column_oracle`` for polynomial
-columns, which realizes the base case available in the disk-algebra model
-(pairs are dense among generating pairs); the lift works on matrices of
-polynomials and accepts any column densifier honouring the same contract.
+``left_invertible_lift`` is McCoy's theorem made constructive: over the
+polynomials (a principal ideal domain) a tall ``r x c`` matrix ``X`` is
+left-invertible exactly when its ``c x c`` minors generate the unit ideal
+(W. C. Brown, *Matrices over Commutative Rings*, 1993).  A row ``d`` with
+``sum_I d_I det X_I = 1`` gives the left inverse
+``Z = sum_I d_I adj(X_I) E_I``, ``E_I`` selecting the rows in ``I``, and
+``Z X = I`` holds exactly.  Minors and adjugates are evaluated on roots of
+unity and interpolated back, so the cost is ``C(r, c)`` small determinants
+per grid point; when the minors of the input share a root, random-phase
+constants nudge every entry.  A single column is handed to
+``disk_column_oracle``, which realizes the base case available in the
+disk-algebra model (pairs are dense among generating pairs): a column's
+maximal minors are its entries.
 
 ``lift_generating_tuple`` feeds the lift with the expectation matrix of a
 tuple of crossed-product elements, producing a nearby generating tuple
@@ -27,8 +32,8 @@ import numpy as np
 
 from .algebra import AlgMatrix, CrossedElement, expectation
 from .errors import CoprimalityFailure, OracleFailure, PerturbationExhausted
-from .poly import (Poly, convolution_matrix, min_separation, poly_divmod, roots,
-                   sylvester_bezout)
+from .poly import (Poly, convolution_matrix, grid_coeffs, grid_values,
+                   min_separation, roots, sylvester_bezout)
 
 ORACLE_ROOT_SEPARATION = 1e-4
 ORACLE_SEPARATION_FLOOR = 2e-7
@@ -36,49 +41,9 @@ ORACLE_RESIDUAL_TOL = 1e-8
 ORACLE_ROW_NORM_TARGET = 32.0
 ORACLE_MAX_ATTEMPTS = 64
 ORACLE_IMPROVE_ATTEMPTS = 8
-TAME_QUOTIENT_CAP = 128.0
-LEVEL_RETRIES = 5
 LEVEL_ACCEPT_RESIDUAL = 1e-7
-POLISH_ROUNDS = 3
-POLISH_TARGET = 1e-10
 
 ColumnOracle = Callable[..., tuple[list[Poly], list[Poly]]]
-
-
-@dataclass(frozen=True)
-class ElementaryOp:
-    """Identity plus ``value`` in position ``(i, j)``, ``i != j``.
-
-    Its inverse is the same op with negated value, exactly; multiplying on
-    the left touches only row ``i``, on the right only column ``j``.
-    """
-
-    i: int
-    j: int
-    value: object
-
-    def __post_init__(self):
-        if self.i == self.j:
-            raise ValueError("elementary ops live off the diagonal")
-
-    def inverse(self) -> ElementaryOp:
-        return ElementaryOp(self.i, self.j, -self.value)
-
-    def as_matrix(self, dim: int, one, zero) -> AlgMatrix:
-        rows = [[one if r == c else zero for c in range(dim)] for r in range(dim)]
-        rows[self.i][self.j] = self.value
-        return AlgMatrix(rows)
-
-
-def _apply_left(op: ElementaryOp, rows: list[list]) -> None:
-    """In place ``E * M``: row i += value * row j (value on the left)."""
-    rows[op.i] = [t + op.value * s for t, s in zip(rows[op.i], rows[op.j])]
-
-
-def _apply_right(op: ElementaryOp, rows: list[list]) -> None:
-    """In place ``M * E``: col j += col i * value (value on the right)."""
-    for row in rows:
-        row[op.j] = row[op.j] + row[op.i] * op.value
 
 
 @dataclass(frozen=True)
@@ -97,71 +62,13 @@ def _row_residual(row: Sequence[Poly], column: Sequence[Poly]) -> float:
             - Poly.one()).wiener_norm()
 
 
-def _choose_clearing_row(sub_entries: list[Poly], scale: Poly,
-                         head_tail: list[Poly], tail_tails: list[list[Poly]],
-                         fallback: list[Poly]) -> list[Poly]:
-    """Pick ``d`` with ``sum_j d_j c_j = scale`` that keeps the cleared
-    first row small.
-
-    Any solution of the constraint works for the row reduction; the scaled
-    oracle row is one, but its norm compounds through recursive lifts and
-    degrades the conditioning of the remaining block.  This solves the
-    constraint exactly (least-squares particular solution plus null space)
-    and spends the slack minimizing the first-row entries the choice
-    produces, falling back to the scaled oracle row whenever the solve
-    does not reproduce the constraint tightly.
-    """
-    if all(f.is_zero for f in fallback):
-        return fallback
-    width = len(sub_entries)
-    ncoef = max(f.degree for f in fallback if not f.is_zero) + 1
-    cmax = max(c.degree for c in sub_entries)
-    crows = ncoef + cmax
-    nvars = width * ncoef
-
-    constraint = np.hstack([convolution_matrix(c, ncoef, crows) for c in sub_entries])
-    rhs = convolution_matrix(scale, 1, crows).ravel()
-
-    x0 = np.linalg.lstsq(constraint, rhs, rcond=None)[0]
-    if np.max(np.abs(constraint @ x0 - rhs)) > 1e-10 * max(1.0, scale.wiener_norm()):
-        return fallback
-
-    _, svals, vh = np.linalg.svd(constraint)
-    tol = (svals[0] if svals.size else 0.0) * 1e-12
-    rank = int(np.sum(svals > tol))
-    null_basis = vh[rank:].conj().T
-    x = x0
-    if null_basis.size:
-        blocks = []
-        targets = []
-        for col, head in enumerate(head_tail):
-            degs = [tails[col].degree for tails in tail_tails]
-            rows = max(ncoef + max(max(degs), 0), head.degree + 1)
-            blocks.append(np.hstack([convolution_matrix(tails[col], ncoef, rows)
-                                     for tails in tail_tails]))
-            targets.append(-convolution_matrix(head, 1, rows).ravel())
-        # small ridge term keeps d itself from drifting large
-        blocks.append(1e-3 * np.eye(nvars, dtype=complex))
-        targets.append(np.zeros(nvars, dtype=complex))
-        objective = np.vstack(blocks)
-        target = np.concatenate(targets)
-        shift = np.linalg.lstsq(objective @ null_basis,
-                                target - objective @ x0, rcond=None)[0]
-        x = x0 + null_basis @ shift
-
-    if np.abs(constraint @ x - rhs).sum() > 1e-9 * max(1.0, scale.wiener_norm()):
-        return fallback
-    return [Poly(part) for part in x.reshape(width, ncoef)]
-
-
 def _bezout_row(entries: Sequence[Poly]) -> list[Poly]:
     """Row ``d`` with ``sum(d_i * entries_i) = 1`` to within ``ORACLE_RESIDUAL_TOL``.
 
     The minimum-norm representative of the identity comes first: it keeps
-    the elementary row operations built from it (and their inverses)
-    small, where fold cofactors would compound through recursive lifts and
-    swamp the deeper columns.  Only when that solve misses the tolerance
-    are pairwise Bezout identities folded instead; once the running gcd
+    the left inverse built from it small, where fold cofactors compound
+    with every entry.  Only when that solve misses the tolerance are
+    pairwise Bezout identities folded instead; once the running gcd
     hits a unit the remaining steps short-circuit through the constant
     cofactor.  A fold that balks at a close root pair, or whose row misses
     the tolerance too, raises ``CoprimalityFailure``.
@@ -189,8 +96,8 @@ def _minimal_norm_row(entries: Sequence[Poly]) -> tuple[list[Poly], float]:
 
     Degree caps match the fold's output so the system is consistent.  A
     few iterative-refinement rounds push the identity residual to
-    round-off; the residual gets amplified by every level of a recursive
-    lift built on top of this row, so slack here is not affordable.
+    round-off; the left inverse built on this row multiplies it by the
+    adjugate norms, so slack here is not affordable.
     """
     cap = max(max(e.degree for e in entries), 1) + 1
     eq_count = cap + max(e.degree for e in entries) + 1
@@ -274,69 +181,17 @@ def disk_column_oracle(column: Sequence[Poly], eps: float, rng: np.random.Genera
         attempts=max_attempts, best_separation=best_sep)
 
 
-def _tame_block_column(ops: list[ElementaryOp], work: list[list],
-                       target_degree: int, max_sweeps: int = 64) -> None:
-    """Euclidean degree reduction of the block's leading column, in place.
-
-    The clearing step leaves every block row carrying a multiple of the
-    same cleared first row above the input degree, which forces the
-    far-field roots of the block column into near-collisions that no
-    small perturbation can separate.  Extra elementary row operations
-    among the lower rows divide that shared part out (they do not touch
-    row zero or the zeroed first column) and cap the column at the degree
-    scale of the input.  Reductions with oversized quotients are skipped;
-    division by near-constant pivots is already well conditioned.
-    """
-    rows = len(work)
-    for _ in range(max_sweeps):
-        live = [(l, work[l][1]) for l in range(1, rows) if not work[l][1].is_zero]
-        if len(live) < 2:
-            return
-        if max(e.degree for _, e in live) <= target_degree:
-            return
-        pivot_degree = min(e.degree for _, e in live)
-        if pivot_degree == 0:
-            return
-        pivot_row, pivot = max(
-            ((l, e) for l, e in live if e.degree == pivot_degree),
-            key=lambda item: abs(item[1].coeffs[-1]))
-        progressed = False
-        for l, e in live:
-            if l == pivot_row or e.degree < pivot.degree:
-                continue
-            quotient, _ = poly_divmod(e, pivot)
-            if quotient.is_zero:
-                continue
-            # the quotient multiplies a whole row, so it must stay small in
-            # absolute terms; chasing low degrees against the decaying
-            # remainders of a float Euclid chain is exactly what blows up
-            if quotient.wiener_norm() > TAME_QUOTIENT_CAP:
-                continue
-            op = ElementaryOp(l, pivot_row, -quotient)
-            _apply_left(op, work)
-            ops.append(op)
-            progressed = True
-        if not progressed:
-            return
-
-
 def left_invertible_lift(mat: AlgMatrix, eps: float, oracle: ColumnOracle,
-                         rng: np.random.Generator, polish: bool = True) -> LiftResult:
+                         rng: np.random.Generator) -> LiftResult:
     """Approximate a tall polynomial matrix by a left-invertible one within ``eps``.
 
-    Induction on the width: the base case hands the whole single column to
-    the oracle; otherwise the tail of column one is densified (budget
-    ``eps/2``), the column is cleared by elementary row operations ``R``,
-    and the remaining block is lifted with budget ``eps / (2 * |R^{-1}|)``
-    so the final estimate ``|R^{-1} S' - T| < eps`` goes through.  The left
-    inverse is assembled by transporting the block inverse back through
-    the explicit elementary factors, never by numerical inversion.
-
-    Each level redraws its densification when the subtree underneath it
-    gets stuck or comes back imprecise; the retries consume fresh
-    randomness, so runs remain reproducible for a fixed stream.  The
-    outermost call finishes with a couple of Newton rounds on the left
-    inverse, which square away the rounding the transport accumulated.
+    A single column goes to ``oracle``.  A wider matrix gets its left
+    inverse from its maximal minors (``_determinantal_inverse``): attempt 0
+    uses the input itself, attempt ``t`` adds a random-phase constant of
+    modulus ``eps * (1 - t/128) / (2 r c)`` to every entry, so the total
+    shift stays below ``eps / 2``.  A lift is returned only when
+    ``|Z X - I| <= LEVEL_ACCEPT_RESIDUAL`` and the distance is below
+    ``eps``; otherwise ``OracleFailure`` is raised with ``level`` the width.
     """
     rows, cols = mat.rows, mat.cols
     if rows <= cols:
@@ -344,150 +199,88 @@ def left_invertible_lift(mat: AlgMatrix, eps: float, oracle: ColumnOracle,
     if eps <= 0:
         raise ValueError("accuracy budget must be positive")
 
-    if cols == 1:
-        return _lift_base(mat, eps, oracle, rng)
-
-    best: LiftResult | None = None
-    last_exc: OracleFailure | None = None
-    for attempt in range(LEVEL_RETRIES):
-        try:
-            # retries must jitter this level's own densification: otherwise
-            # the unperturbed column is accepted again and the identical
-            # stuck subtree is replayed
-            cand = _lift_step(mat, eps, oracle, rng, jitter=attempt > 0)
-        except OracleFailure as exc:
-            last_exc = exc
-            continue
-        if best is None or cand.residual < best.residual:
-            best = cand
-        if best.residual <= LEVEL_ACCEPT_RESIDUAL:
-            break
-    if best is None:
-        raise last_exc
-    if polish:
-        best = _polish_left_inverse(best, mat)
-    return best
-
-
-def _polish_left_inverse(result: LiftResult, mat: AlgMatrix) -> LiftResult:
-    """Newton iteration ``Z <- (I - (Z X - I)) Z``, squaring the residual.
-
-    The transported inverse is exact in spirit but picks up rounding
-    proportional to the operation norms; a residual below one is enough
-    for the iteration to converge to working precision.
-    """
-    output = result.output
-    identity = AlgMatrix.identity(output.cols, Poly.one(), Poly.zero())
-    z = result.left_inverse
-    residual = (z * output - identity).norm_l1()
-    for _ in range(POLISH_ROUNDS):
-        if residual <= POLISH_TARGET or residual >= 1.0:
-            break
-        gap = z * output - identity
-        z = (identity - gap) * z
-        residual = (z * output - identity).norm_l1()
-    if residual < result.residual:
-        return LiftResult(output, z, result.distance, float(residual))
-    return result
-
-
-def _lift_base(mat: AlgMatrix, eps: float, oracle: ColumnOracle,
-               rng: np.random.Generator) -> LiftResult:
-    column = [row[0] for row in mat.entries]
-    try:
-        new_col, brow = oracle(column, eps, rng)
-    except PerturbationExhausted as exc:
-        raise OracleFailure(f"column oracle failed: {exc}", level=1) from exc
-    output = AlgMatrix([[e] for e in new_col])
-    left_inverse = AlgMatrix([list(brow)])
-    residual = _row_residual(brow, new_col)
-    distance = sum((n - o).wiener_norm() for n, o in zip(new_col, column))
-    return LiftResult(output, left_inverse, float(distance), float(residual))
-
-
-def _lift_step(mat: AlgMatrix, eps: float, oracle: ColumnOracle,
-               rng: np.random.Generator, jitter: bool = False) -> LiftResult:
-    rows, cols = mat.rows, mat.cols
-    # retries also reshuffle the rows: the recursion pivots on specific
-    # sub-rows, and a near rank drop of that particular submatrix (which
-    # the full matrix need not share) blocks the deeper columns no matter
-    # how they are perturbed; conjugating by a permutation moves it away
-    perm = rng.permutation(rows) if jitter else np.arange(rows)
     source = mat.to_lists()
-    grid = [list(source[p]) for p in perm]
-    one, zero = Poly.one(), Poly.zero()
+    if cols == 1:
+        try:
+            new_col, brow = oracle([row[0] for row in source], eps, rng)
+        except PerturbationExhausted as exc:
+            raise OracleFailure(f"column oracle failed: {exc}", level=1) from exc
+        lift = _gated(AlgMatrix([[e] for e in new_col]), AlgMatrix([list(brow)]),
+                      mat, eps)
+        if lift is None:
+            raise OracleFailure("column oracle row misses the lift gate", level=1)
+        return lift
 
-    # densify the tail of the first column (rows cols-1 .. rows-1)
-    sub = [grid[i][0] for i in range(cols - 1, rows)]
-    budget = eps / 2.0
-    if jitter:
-        mag = eps / (8.0 * len(sub))
-        sub = [e + Poly.constant(mag * np.exp(2j * np.pi * rng.uniform()))
-               for e in sub]
-        budget = eps / 4.0
-    try:
-        new_sub, brow = oracle(sub, budget, rng)
-    except PerturbationExhausted as exc:
-        raise OracleFailure(
-            f"column oracle failed at width {cols}: {exc}", level=cols) from exc
-    for offset, e in enumerate(new_sub):
-        grid[cols - 1 + offset][0] = e
+    for t in range(ORACLE_MAX_ATTEMPTS + 1):
+        if t == 0:
+            cand = source
+        else:
+            mag = eps * (1.0 - t / 128.0) / (2.0 * rows * cols)
+            cand = [[e + Poly.constant(mag * np.exp(2j * np.pi * rng.uniform()))
+                     for e in row] for row in source]
+        try:
+            left_inverse = _determinantal_inverse(cand)
+        except CoprimalityFailure:
+            continue
+        lift = _gated(AlgMatrix(cand), left_inverse, mat, eps)
+        if lift is not None:
+            return lift
+    raise OracleFailure(
+        f"no {rows}x{cols} lift within {ORACLE_MAX_ATTEMPTS} perturbations "
+        f"meets the residual {LEVEL_ACCEPT_RESIDUAL:.0e}", level=cols)
 
-    # row ops: first make the corner 1 through a Bezout combination, then
-    # clear the rest of the column against it.  Every lower row may join
-    # the combination (the densified tail guarantees solvability); the
-    # extra freedom is spent keeping the cleared first row small, which is
-    # what keeps the remaining block conditioned.
-    scale = one - grid[0][0]
-    fallback = [zero] * (cols - 2) + [scale * b for b in brow]
-    dvals = _choose_clearing_row(
-        [grid[i][0] for i in range(1, rows)], scale, list(grid[0][1:]),
-        [list(grid[i][1:]) for i in range(1, rows)], fallback)
-    ops = [ElementaryOp(0, 1 + idx, d) for idx, d in enumerate(dvals)
-           if not d.is_zero]
-    ops += [ElementaryOp(i, 0, -grid[i][0]) for i in range(1, rows)]
 
-    work = [row[:] for row in grid]
-    for op in ops:
-        _apply_left(op, work)
-
-    target_degree = max(max((e.degree for row in grid for e in row), default=1), 1)
-    _tame_block_column(ops, work, target_degree)
-
-    srow = work[0][1:]
-    block = AlgMatrix([row[1:] for row in work[1:]])
-
-    rinv_rows = [[one if r == c else zero for c in range(rows)] for r in range(rows)]
-    for op in ops:
-        _apply_right(op.inverse(), rinv_rows)
-    rinv_norm = AlgMatrix(rinv_rows).norm_l1()
-
-    inner = left_invertible_lift(block, eps / (2.0 * rinv_norm), oracle, rng,
-                                 polish=False)
-
-    lifted = [[one] + list(srow)]
-    lifted += [[zero] + list(irow) for irow in inner.output.to_lists()]
-    for op in reversed(ops):
-        _apply_left(op.inverse(), lifted)
-    output = AlgMatrix(lifted)
-
-    z12 = (AlgMatrix([srow]) * inner.left_inverse).entries[0]
-    z_rows = [[one] + [-t for t in z12]]
-    z_rows += [[zero] + list(w_row) for w_row in inner.left_inverse.entries]
-    for op in reversed(ops):
-        _apply_right(op, z_rows)
-
-    # undo the row shuffle: rows of the output, columns of the left inverse
-    inverse_perm = np.argsort(perm)
-    out_rows = output.to_lists()
-    output = AlgMatrix([out_rows[i] for i in inverse_perm])
-    left_inverse = AlgMatrix([[z_rows[r][inverse_perm[c]] for c in range(rows)]
-                              for r in range(cols)])
-
-    identity = AlgMatrix.identity(cols, one, zero)
+def _gated(output: AlgMatrix, left_inverse: AlgMatrix, mat: AlgMatrix,
+           eps: float) -> LiftResult | None:
+    """The lift, if ``|Z X - I| <= LEVEL_ACCEPT_RESIDUAL`` and ``|X - M| < eps``."""
+    identity = AlgMatrix.identity(output.cols, Poly.one(), Poly.zero())
     residual = (left_inverse * output - identity).norm_l1()
     distance = (output - mat).norm_l1()
-    return LiftResult(output, left_inverse, float(distance), float(residual))
+    if residual <= LEVEL_ACCEPT_RESIDUAL and distance < eps:
+        return LiftResult(output, left_inverse, float(distance), float(residual))
+    return None
+
+
+def _determinantal_inverse(entries: list[list[Poly]]) -> AlgMatrix:
+    """``Z = sum_I d_I adj(X_I) E_I`` with ``sum_I d_I det X_I = 1``.
+
+    The maximal minors (degree at most ``c * deg X``) are taken with one
+    batched ``det`` on ``c * deg X + 1`` roots of unity and interpolated;
+    ``_bezout_row`` finds ``d`` for the nonzero ones, or raises
+    ``CoprimalityFailure``.  ``Z`` has degree at most
+    ``deg d + (c - 1) deg X`` and is accumulated on that many roots of unity
+    from signed ``(c - 1)``-minors, with no division, so a singular ``X_I``
+    at a grid point needs no special case.
+    """
+    rows, cols = len(entries), len(entries[0])
+    flat = [e for row in entries for e in row]
+    degree = max(max(e.degree for e in flat), 0)
+
+    def on_grid(size: int) -> np.ndarray:
+        return grid_values(flat, size).T.reshape(size, rows, cols)
+
+    subsets = np.array(list(itertools.combinations(range(rows), cols)))
+    size = cols * degree + 1
+    minors = [Poly(m) for m in grid_coeffs(np.linalg.det(on_grid(size)[:, subsets]).T)]
+    live = [i for i, m in enumerate(minors) if not m.is_zero]
+    if not live:
+        raise CoprimalityFailure("every maximal minor vanishes")
+    row = _bezout_row([minors[i] for i in live])
+    subsets = subsets[live]
+
+    size = max(max(d.degree for d in row), 0) + (cols - 1) * degree + 1
+    # keep[k] lists the indices other than k, in order
+    keep = np.array([[i for i in range(cols) if i != k] for k in range(cols)], dtype=int)
+    # cofactor (k, j) of X_I: X_I without its row k and column j
+    sub = on_grid(size)[:, subsets[:, keep][:, :, None, :, None],
+                        keep[None, None, :, None, :]]
+    signs = (-1.0) ** np.add.outer(np.arange(cols), np.arange(cols))
+    cofactors = signs * np.linalg.det(sub)
+    # select[I, k, i] = 1 when row k of X_I is row i of X
+    select = (subsets[:, :, None] == np.arange(rows)).astype(float)
+    weights = grid_values(row, size).T
+    values = np.einsum("nI,nIkj,Iki->jin", weights, cofactors, select)
+    return AlgMatrix([[Poly(c) for c in z_row] for z_row in grid_coeffs(values)])
 
 
 @dataclass(frozen=True)

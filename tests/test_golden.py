@@ -1,9 +1,10 @@
 """Byte identity with stored outputs: a speed-up must not move a single byte.
 
 Each test regenerates one file under ``data/golden-*`` from the same seed
-and compares bytes.  The two lift files were written by the release before
-root sets were memoised and the column oracle's Bezout fold became a
-fallback.  ``golden-cert-upper-n3.json`` was written when Bezout cofactors
+and compares bytes.  The two lift files were written when matrix lifts
+moved from the column-oracle induction to the maximal minors (the left
+inverse ``sum_I d_I adj(X_I) E_I``); both inputs lift unperturbed, at
+distance 0.  ``golden-cert-upper-n3.json`` was written when Bezout cofactors
 moved from the elimination cascade to the reduced norm; the cascade's
 certificate for the same command is kept as ``data/bezout-cascade-n3.json``,
 which ``tests/test_cli.py`` still verifies.

@@ -11,35 +11,10 @@ from crossrank import liftrank
 from crossrank.algebra import AlgMatrix, CrossedElement, GroupSpec
 from crossrank.elimination import bezout_certificate
 from crossrank.errors import CoprimalityFailure, OracleFailure, PerturbationExhausted
-from crossrank.liftrank import (ElementaryOp, disk_column_oracle,
-                                left_invertible_lift, lift_generating_tuple)
+from crossrank.liftrank import (disk_column_oracle, left_invertible_lift,
+                                lift_generating_tuple)
 from crossrank.poly import Poly, roots, sylvester_bezout
 from crossrank.randomness import random_crossed, random_poly, seeded_generator
-
-
-def test_elementary_op_inverse_exact():
-    a = Poly([0.5, -1.5j])
-    op = ElementaryOp(0, 2, a)
-    one, zero = Poly.one(), Poly.zero()
-    product = op.as_matrix(3, one, zero) * op.inverse().as_matrix(3, one, zero)
-    assert (product - AlgMatrix.identity(3, one, zero)).norm_l1() == 0.0
-
-
-def test_elementary_op_touches_one_row():
-    a = Poly([2.0])
-    op = ElementaryOp(1, 0, a)
-    one, zero = Poly.one(), Poly.zero()
-    m = AlgMatrix([[Poly([1]), Poly([2])], [Poly([3]), Poly([4])],
-                   [Poly([5]), Poly([6])]])
-    moved = op.as_matrix(3, one, zero) * m
-    assert (moved.entry(0, 0) - m.entry(0, 0)).is_zero
-    assert (moved.entry(2, 1) - m.entry(2, 1)).is_zero
-    assert (moved.entry(1, 0) - Poly([5])).is_zero
-
-
-def test_elementary_op_rejects_diagonal():
-    with pytest.raises(ValueError):
-        ElementaryOp(1, 1, Poly.one())
 
 
 def test_oracle_unit_column_unchanged():
@@ -193,10 +168,63 @@ def test_lift_propagates_oracle_failure_with_level():
         raise PerturbationExhausted("stub", attempts=0)
 
     rng = seeded_generator(7)
-    mat = AlgMatrix([[random_poly(rng, 2) for _ in range(2)] for _ in range(3)])
+    mat = AlgMatrix([[random_poly(rng, 2)] for _ in range(3)])
     with pytest.raises(OracleFailure) as info:
         left_invertible_lift(mat, 0.1, broken, rng)
-    assert info.value.level >= 1
+    assert info.value.level == 1
+
+
+def test_lift_exhaustion_raises_with_width(monkeypatch):
+    def balking(entries):
+        raise CoprimalityFailure("stub")
+
+    monkeypatch.setattr(liftrank, "_bezout_row", balking)
+    rng = seeded_generator(7)
+    mat = AlgMatrix([[random_poly(rng, 2) for _ in range(2)] for _ in range(3)])
+    with pytest.raises(OracleFailure) as info:
+        left_invertible_lift(mat, 0.1, disk_column_oracle, rng)
+    assert info.value.level == 2
+
+
+def test_lift_raises_when_residual_misses_gate(monkeypatch):
+    bezout_row = liftrank._bezout_row
+
+    def off_by_a_little(entries):
+        row = bezout_row(entries)
+        return [d * Poly.constant(1.0 + 1e-6) for d in row]
+
+    monkeypatch.setattr(liftrank, "_bezout_row", off_by_a_little)
+    rng = seeded_generator(5100)
+    mat = AlgMatrix([[random_poly(rng, 3, 0.5) for _ in range(2)] for _ in range(3)])
+    with pytest.raises(OracleFailure) as info:
+        left_invertible_lift(mat, 0.1, disk_column_oracle, rng)
+    assert info.value.level == 2
+
+
+def test_lift_input_where_column_induction_failed():
+    # six successive degree-3 draws at scale 0.5, row by row, from the
+    # stream perfbench/workloads.py builds as generator(5345, 3, 3, 2, 0):
+    # the column-oracle induction raised OracleFailure on it
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([5345, 3, 3, 2, 0])))
+
+    def draw():
+        return Poly(0.5 * (rng.uniform(-1.0, 1.0, 4) + 1j * rng.uniform(-1.0, 1.0, 4)))
+
+    mat = AlgMatrix([[draw() for _ in range(2)] for _ in range(3)])
+    res = left_invertible_lift(mat, 0.1, disk_column_oracle, rng)
+    assert res.residual < 1e-12
+    assert res.distance == 0.0
+
+
+@pytest.mark.parametrize("rows", [5, 6])
+def test_lift_random_wide(rows):
+    rng = seeded_generator(5500 + rows)
+    for _ in range(3):
+        mat = AlgMatrix([[random_poly(rng, 3, 0.5) for _ in range(rows - 1)]
+                         for _ in range(rows)])
+        res = left_invertible_lift(mat, 0.1, disk_column_oracle, rng)
+        assert res.residual < 1e-6
+        assert res.distance < 0.1
 
 
 def test_tuple_lift_trivial_generator():
@@ -212,6 +240,17 @@ def test_tuple_lift_random_order_two():
     spec = GroupSpec(2)
     for _ in range(8):
         b = [random_crossed(rng, spec, 3) for _ in range(3)]
+        result = lift_generating_tuple(b, 0.1, rng)
+        assert result.residual < 1e-6
+        assert max(result.distances) < 0.1
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_tuple_lift_high_order(n):
+    rng = seeded_generator(9 + n)
+    spec = GroupSpec(n)
+    for _ in range(2):
+        b = [random_crossed(rng, spec, 3) for _ in range(n + 1)]
         result = lift_generating_tuple(b, 0.1, rng)
         assert result.residual < 1e-6
         assert max(result.distances) < 0.1
