@@ -38,8 +38,8 @@ import numpy as np
 
 from .algebra import CrossedElement, GroupSpec, det_on_circle, matrix_embedding
 from .errors import CoprimalityFailure, GroupMismatch, GroupTooSmall, PerturbationExhausted
-from .poly import (Poly, grid_coeffs, grid_values, min_separation, roots,
-                   sylvester_bezout, winding_number)
+from .poly import (Poly, grid_coeffs, grid_values, roots, sylvester_bezout,
+                   winding_number)
 
 CERTIFICATE_TOL = 1e-6
 VERIFY_AGREEMENT_TOL = 1e-9
@@ -218,7 +218,10 @@ def perturb_avoiding(a: CrossedElement, avoid: Iterable[complex], eps: float,
     ``|a - b| < eps``, where ``b`` differs from ``a`` only in the constant
     coefficient of the identity component, ``D`` is nonzero, and every
     root of ``D`` (in ``w = z**n``) lies at distance greater than
-    ``1e-4 * (1 + max|avoid|)`` from every avoided point.  The unperturbed
+    ``SEPARATION_BASE * (1 + |p|)`` from each avoided point ``p``: the
+    separation is relative to each point, so one large avoided root does
+    not coarsen the demand near the small ones, and ``best_separation`` on
+    exhaustion is the best ``min |r - p| / (1 + |p|)`` seen.  The unperturbed
     input is accepted when it already qualifies, unless ``force`` asks for
     a fresh draw.  Attempt ``t`` adds a uniformly random phase of modulus
     ``eps/2 * (1 - t/128)``; after ``max_attempts`` failures the input is
@@ -227,7 +230,7 @@ def perturb_avoiding(a: CrossedElement, avoid: Iterable[complex], eps: float,
     if eps <= 0:
         raise ValueError("perturbation budget must be positive")
     avoid = np.asarray(avoid, dtype=complex)
-    threshold = SEPARATION_BASE * (1.0 + float(np.max(np.abs(avoid), initial=0.0)))
+    scale = 1.0 + np.abs(avoid)
     spec = a.spec
 
     best_sep: float | None = None
@@ -239,10 +242,10 @@ def perturb_avoiding(a: CrossedElement, avoid: Iterable[complex], eps: float,
             return None
         if not avoid.size or norm.degree == 0:
             return candidate, norm, adj
-        sep = min_separation(roots(norm), avoid)
+        sep = float((np.abs(np.subtract.outer(roots(norm), avoid)) / scale).min())
         if best_sep is None or sep > best_sep:
             best_sep = sep
-        return (candidate, norm, adj) if sep > threshold else None
+        return (candidate, norm, adj) if sep > SEPARATION_BASE else None
 
     if not force:
         found = admissible(a)
@@ -258,9 +261,11 @@ def perturb_avoiding(a: CrossedElement, avoid: Iterable[complex], eps: float,
         if found is not None:
             return found
 
+    seen = "none" if best_sep is None else f"{best_sep:.3e}"
     raise PerturbationExhausted(
-        f"no admissible perturbation within {max_attempts} attempts "
-        f"(separation threshold {threshold:.3e})",
+        f"no admissible perturbation within {max_attempts} attempts (best "
+        f"min |r - p| / (1 + |p|) over avoided points p: {seen}, "
+        f"needs > {SEPARATION_BASE:.0e})",
         attempts=max_attempts, best_separation=best_sep)
 
 

@@ -7,13 +7,14 @@ left-invertible exactly when its ``c x c`` minors generate the unit ideal
 (W. C. Brown, *Matrices over Commutative Rings*, 1993).  A row ``d`` with
 ``sum_I d_I det X_I = 1`` gives the left inverse
 ``Z = sum_I d_I adj(X_I) E_I``, ``E_I`` selecting the rows in ``I``, and
-``Z X = I`` holds exactly.  Minors and adjugates are evaluated on roots of
-unity and interpolated back, so the cost is ``C(r, c)`` small determinants
-per grid point; when the minors of the input share a root, random-phase
-constants nudge every entry.  A single column is handed to
-``disk_column_oracle``, which realizes the base case available in the
-disk-algebra model (pairs are dense among generating pairs): a column's
-maximal minors are its entries.
+``Z X = I`` holds exactly.  Minors and adjugates are evaluated on an FFT
+grid of the unit circle and interpolated back, so the cost is ``C(r, c)``
+small determinants per grid point; when the minors of the input have a
+common zero, random-phase constants nudge every entry.  A single column is
+the ``r x 1`` case: its maximal minors are its entries, its adjugate is
+``[1]`` and its left inverse is a Bezout row.  ``disk_column_oracle``
+packages that case as the base step of the disk-algebra model (pairs are
+dense among generating pairs).
 
 ``lift_generating_tuple`` feeds the lift with the expectation matrix of a
 tuple of crossed-product elements, producing a nearby generating tuple
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -32,15 +32,10 @@ import numpy as np
 
 from .algebra import AlgMatrix, CrossedElement, expectation
 from .errors import CoprimalityFailure, OracleFailure, PerturbationExhausted
-from .poly import (Poly, convolution_matrix, grid_coeffs, grid_values,
-                   min_separation, roots, sylvester_bezout)
+from .poly import Poly, convolution_matrix, grid_coeffs, grid_values
 
-ORACLE_ROOT_SEPARATION = 1e-4
-ORACLE_SEPARATION_FLOOR = 2e-7
 ORACLE_RESIDUAL_TOL = 1e-8
-ORACLE_ROW_NORM_TARGET = 32.0
 ORACLE_MAX_ATTEMPTS = 64
-ORACLE_IMPROVE_ATTEMPTS = 8
 LEVEL_ACCEPT_RESIDUAL = 1e-7
 
 ColumnOracle = Callable[..., tuple[list[Poly], list[Poly]]]
@@ -56,51 +51,19 @@ class LiftResult:
     residual: float
 
 
-def _row_residual(row: Sequence[Poly], column: Sequence[Poly]) -> float:
-    """Wiener norm of ``sum_i row_i * column_i - 1``."""
-    return (functools.reduce(operator.add, (d * c for d, c in zip(row, column)))
-            - Poly.one()).wiener_norm()
-
-
 def _bezout_row(entries: Sequence[Poly]) -> list[Poly]:
-    """Row ``d`` with ``sum(d_i * entries_i) = 1`` to within ``ORACLE_RESIDUAL_TOL``.
+    """Minimum-norm row ``d`` with ``sum(d_i * entries_i) = 1``.
 
-    The minimum-norm representative of the identity comes first: it keeps
-    the left inverse built from it small, where fold cofactors compound
-    with every entry.  Only when that solve misses the tolerance are
-    pairwise Bezout identities folded instead; once the running gcd
-    hits a unit the remaining steps short-circuit through the constant
-    cofactor.  A fold that balks at a close root pair, or whose row misses
-    the tolerance too, raises ``CoprimalityFailure``.
+    One least-squares solve in coefficient space, each ``d_i`` of degree at
+    most ``max(deg entries)``, then a few iterative-refinement rounds that
+    push the identity residual to round-off: the left inverse built on this
+    row multiplies it by the adjugate norms, so slack here is not
+    affordable.  A row that still misses ``ORACLE_RESIDUAL_TOL`` (the
+    entries have a common zero, or nearly so) raises ``CoprimalityFailure``.
     """
-    row, residual = _minimal_norm_row(entries)
-    if residual <= ORACLE_RESIDUAL_TOL:
-        return row
-    acc = entries[0]
-    cofactors = [Poly.one()]
-    for e in entries[1:]:
-        p, q = sylvester_bezout(acc, e)
-        cofactors = [p * c for c in cofactors] + [q]
-        acc = Poly.one()
-    residual = _row_residual(cofactors, entries)
-    if not residual <= ORACLE_RESIDUAL_TOL:
-        raise CoprimalityFailure(
-            f"Bezout row residual {residual:.3e} exceeds {ORACLE_RESIDUAL_TOL:.0e}",
-            residual=residual)
-    return cofactors
-
-
-def _minimal_norm_row(entries: Sequence[Poly]) -> tuple[list[Poly], float]:
-    """Minimum-norm coefficient-space solution of ``sum(d_i c_i) = 1``,
-    with its identity residual.
-
-    Degree caps match the fold's output so the system is consistent.  A
-    few iterative-refinement rounds push the identity residual to
-    round-off; the left inverse built on this row multiplies it by the
-    adjugate norms, so slack here is not affordable.
-    """
-    cap = max(max(e.degree for e in entries), 1) + 1
-    eq_count = cap + max(e.degree for e in entries) + 1
+    top = max(e.degree for e in entries)
+    cap = max(top, 1) + 1
+    eq_count = cap + top + 1
     system = np.hstack([convolution_matrix(e, cap, eq_count) for e in entries])
     rhs = np.zeros(eq_count, dtype=complex)
     rhs[0] = 1.0
@@ -111,106 +74,76 @@ def _minimal_norm_row(entries: Sequence[Poly]) -> tuple[list[Poly], float]:
             break
         sol = sol + np.linalg.lstsq(system, gap, rcond=None)[0]
     row = [Poly(part) for part in sol.reshape(-1, cap)]
-    return row, _row_residual(row, entries)
+    residual = (functools.reduce(operator.add, (d * e for d, e in zip(row, entries)))
+                - Poly.one()).wiener_norm()
+    if not residual <= ORACLE_RESIDUAL_TOL:
+        raise CoprimalityFailure(
+            f"Bezout row residual {residual:.3e} exceeds {ORACLE_RESIDUAL_TOL:.0e}",
+            residual=residual)
+    return row
 
 
-def disk_column_oracle(column: Sequence[Poly], eps: float, rng: np.random.Generator,
-                       max_attempts: int = ORACLE_MAX_ATTEMPTS) -> tuple[list[Poly], list[Poly]]:
+def disk_column_oracle(column: Sequence[Poly], eps: float,
+                       rng: np.random.Generator) -> tuple[list[Poly], list[Poly]]:
     """Perturb a polynomial column into a generating one, with Bezout row.
 
-    Shifts constant coefficients by independent random phases (shrinking
-    with the attempt number, total budget below ``eps``) until the entries
-    are pairwise coprime over the whole plane, then finds a row ``d`` with
-    ``sum(d_i c_i) = 1`` to within ``ORACLE_RESIDUAL_TOL`` (``_bezout_row``).
-    Pairwise coprimality is demanded, not just the absence of a common
-    root, because the fold fallback consumes coprime pairs; it implies the
-    weaker condition.
+    The ``r x 1`` case of ``_perturbed_lift``, whose left inverse is a row
+    ``d`` with ``sum(d_i c_i) = 1``: returns the column within ``eps`` of the
+    input and that row, or raises ``PerturbationExhausted``.
     """
     entries = list(column)
-    width = len(entries)
-    if width < 2:
+    if len(entries) < 2:
         raise ValueError("column oracle needs at least two entries")
     if eps <= 0:
         raise ValueError("perturbation budget must be positive")
-
-    best: tuple[float, list[Poly], list[Poly]] | None = None
-    best_sep: float | None = None
-    first_hit: int | None = None
-    for t in range(max_attempts + 1):
-        if (first_hit is not None
-                and (t - first_hit > ORACLE_IMPROVE_ATTEMPTS
-                     or best[0] <= ORACLE_ROW_NORM_TARGET)):
-            break
-        if t == 0:
-            cand = list(entries)
-            threshold = ORACLE_ROOT_SEPARATION
-        else:
-            mag = eps * (1.0 - t / 128.0) / (2.0 * width)
-            cand = [e + Poly.constant(mag * np.exp(2j * np.pi * rng.uniform()))
-                    for e in entries]
-            # a shift of size mag cannot buy more than mag of separation,
-            # so scale the demand down with the budget (floored safely
-            # above the Bezout solver's own coprimality guard)
-            threshold = max(ORACLE_SEPARATION_FLOOR,
-                            min(ORACLE_ROOT_SEPARATION, mag))
-        if any(e.is_zero for e in cand):
-            continue
-        root_sets = [roots(e) for e in cand]
-        sep = min((min_separation(u, v) for u, v in itertools.combinations(root_sets, 2)),
-                  default=math.inf)
-        if sep < math.inf and (best_sep is None or sep > best_sep):
-            best_sep = sep
-        if sep < threshold:
-            continue
-        try:
-            row = _bezout_row(cand)
-        except CoprimalityFailure:
-            continue
-        # keep the best-conditioned admissible attempt: oversized rows feed
-        # oversized row operations in the lifts built on top of this oracle
-        row_norm = sum(d.wiener_norm() for d in row)
-        if best is None or row_norm < best[0]:
-            best = (row_norm, cand, row)
-        if first_hit is None:
-            first_hit = t
-
-    if best is not None:
-        return best[1], best[2]
-    raise PerturbationExhausted(
-        f"no pairwise-coprime column within {max_attempts} attempts",
-        attempts=max_attempts, best_separation=best_sep)
+    try:
+        lift = _perturbed_lift(AlgMatrix([[e] for e in entries]), eps, rng)
+    except OracleFailure as exc:
+        raise PerturbationExhausted(
+            f"no generating column within {ORACLE_MAX_ATTEMPTS} attempts",
+            attempts=ORACLE_MAX_ATTEMPTS) from exc
+    return [row[0] for row in lift.output.to_lists()], lift.left_inverse.to_lists()[0]
 
 
 def left_invertible_lift(mat: AlgMatrix, eps: float, oracle: ColumnOracle,
                          rng: np.random.Generator) -> LiftResult:
     """Approximate a tall polynomial matrix by a left-invertible one within ``eps``.
 
-    A single column goes to ``oracle``.  A wider matrix gets its left
-    inverse from its maximal minors (``_determinantal_inverse``): attempt 0
-    uses the input itself, attempt ``t`` adds a random-phase constant of
-    modulus ``eps * (1 - t/128) / (2 r c)`` to every entry, so the total
-    shift stays below ``eps / 2``.  A lift is returned only when
-    ``|Z X - I| <= LEVEL_ACCEPT_RESIDUAL`` and the distance is below
-    ``eps``; otherwise ``OracleFailure`` is raised with ``level`` the width.
+    Every width runs ``_perturbed_lift``; a single column goes through
+    ``oracle`` (``disk_column_oracle`` is that lift at width 1) and passes
+    the same gate.  A lift is returned only when
+    ``|Z X - I| <= LEVEL_ACCEPT_RESIDUAL`` and the distance is below ``eps``;
+    otherwise ``OracleFailure`` is raised with ``level`` the width.
     """
     rows, cols = mat.rows, mat.cols
     if rows <= cols:
         raise ValueError("lift needs strictly more rows than columns")
     if eps <= 0:
         raise ValueError("accuracy budget must be positive")
+    if cols > 1:
+        return _perturbed_lift(mat, eps, rng)
 
+    try:
+        new_col, brow = oracle([row[0] for row in mat.to_lists()], eps, rng)
+    except PerturbationExhausted as exc:
+        raise OracleFailure(f"column oracle failed: {exc}", level=1) from exc
+    lift = _gated(AlgMatrix([[e] for e in new_col]), AlgMatrix([list(brow)]), mat, eps)
+    if lift is None:
+        raise OracleFailure("column oracle row misses the lift gate", level=1)
+    return lift
+
+
+def _perturbed_lift(mat: AlgMatrix, eps: float, rng: np.random.Generator) -> LiftResult:
+    """The determinantal lift of ``mat`` or of a nearby perturbation.
+
+    Attempt 0 uses the input itself, attempt ``t`` adds a random-phase
+    constant of modulus ``eps * (1 - t/128) / (2 r c)`` to every entry, so
+    the total shift stays below ``eps / 2``.  The first attempt whose
+    ``_determinantal_inverse`` passes ``_gated`` is returned; after
+    ``ORACLE_MAX_ATTEMPTS`` perturbations ``OracleFailure(level=c)`` is raised.
+    """
+    rows, cols = mat.rows, mat.cols
     source = mat.to_lists()
-    if cols == 1:
-        try:
-            new_col, brow = oracle([row[0] for row in source], eps, rng)
-        except PerturbationExhausted as exc:
-            raise OracleFailure(f"column oracle failed: {exc}", level=1) from exc
-        lift = _gated(AlgMatrix([[e] for e in new_col]), AlgMatrix([list(brow)]),
-                      mat, eps)
-        if lift is None:
-            raise OracleFailure("column oracle row misses the lift gate", level=1)
-        return lift
-
     for t in range(ORACLE_MAX_ATTEMPTS + 1):
         if t == 0:
             cand = source
@@ -245,12 +178,12 @@ def _determinantal_inverse(entries: list[list[Poly]]) -> AlgMatrix:
     """``Z = sum_I d_I adj(X_I) E_I`` with ``sum_I d_I det X_I = 1``.
 
     The maximal minors (degree at most ``c * deg X``) are taken with one
-    batched ``det`` on ``c * deg X + 1`` roots of unity and interpolated;
+    batched ``det`` on a grid of ``c * deg X + 1`` points and interpolated;
     ``_bezout_row`` finds ``d`` for the nonzero ones, or raises
     ``CoprimalityFailure``.  ``Z`` has degree at most
-    ``deg d + (c - 1) deg X`` and is accumulated on that many roots of unity
-    from signed ``(c - 1)``-minors, with no division, so a singular ``X_I``
-    at a grid point needs no special case.
+    ``deg d + (c - 1) deg X`` and is accumulated from signed
+    ``(c - 1)``-minors, with no division, so a singular ``X_I`` at a grid
+    point needs no special case; its grid also holds ``X`` at ``c = 1``.
     """
     rows, cols = len(entries), len(entries[0])
     flat = [e for row in entries for e in row]
@@ -268,7 +201,7 @@ def _determinantal_inverse(entries: list[list[Poly]]) -> AlgMatrix:
     row = _bezout_row([minors[i] for i in live])
     subsets = subsets[live]
 
-    size = max(max(d.degree for d in row), 0) + (cols - 1) * degree + 1
+    size = max(max(d.degree for d in row), 0) + max(cols - 1, 1) * degree + 1
     # keep[k] lists the indices other than k, in order
     keep = np.array([[i for i in range(cols) if i != k] for k in range(cols)], dtype=int)
     # cofactor (k, j) of X_I: X_I without its row k and column j

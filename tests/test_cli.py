@@ -284,3 +284,9 @@ def test_cert_upper_high_orders_cap_four(tmp_path, n):
     # the cascade's top stage has degree 4 * 2^(n-1), 64 to 512, past its wall
     for seed in range(3):
         assert _certify_random_pair(tmp_path, seed, n, 4) == (0, 0)
+
+
+def test_cert_upper_order_eight_cap_32_relative_separation(tmp_path):
+    # one large root of the first reduced norm made a single threshold taken
+    # from max|avoid| (0.121 here) too coarse to clear near the small roots
+    assert _certify_random_pair(tmp_path, 7, 8, 32) == (0, 0)

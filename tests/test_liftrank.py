@@ -13,7 +13,7 @@ from crossrank.elimination import bezout_certificate
 from crossrank.errors import CoprimalityFailure, OracleFailure, PerturbationExhausted
 from crossrank.liftrank import (disk_column_oracle, left_invertible_lift,
                                 lift_generating_tuple)
-from crossrank.poly import Poly, roots, sylvester_bezout
+from crossrank.poly import Poly, roots
 from crossrank.randomness import random_crossed, random_poly, seeded_generator
 
 
@@ -42,19 +42,7 @@ def test_oracle_folds_triple():
     assert (combo - Poly.one()).wiener_norm() < 1e-8
 
 
-def counting_fold(monkeypatch) -> list:
-    calls = []
-
-    def fold(f, g):
-        calls.append((f, g))
-        return sylvester_bezout(f, g)
-
-    monkeypatch.setattr(liftrank, "sylvester_bezout", fold)
-    return calls
-
-
-def test_no_fold_when_least_squares_row_passes(monkeypatch):
-    calls = counting_fold(monkeypatch)
+def test_least_squares_row_passes():
     entries = [Poly.from_roots([0.5, -0.25j]), Poly.from_roots([0.1, 2.0])]
     row = liftrank._bezout_row(entries)
     combo = functools.reduce(operator.add, (d * c for d, c in zip(row, entries)))
@@ -62,29 +50,15 @@ def test_no_fold_when_least_squares_row_passes(monkeypatch):
     rng = seeded_generator(5100)
     mat = AlgMatrix([[random_poly(rng, 3, 0.5) for _ in range(2)] for _ in range(3)])
     assert left_invertible_lift(mat, 0.1, disk_column_oracle, rng).residual < 1e-6
-    assert calls == []
 
 
-def test_fold_only_when_least_squares_row_misses(monkeypatch):
-    calls = counting_fold(monkeypatch)
+def test_bezout_row_raises_when_least_squares_row_misses(monkeypatch):
     entries = [Poly.from_roots([0.5, -0.25j]), Poly.from_roots([0.1, 2.0])]
 
     def missing_lstsq(a, b, rcond=None):
         return np.zeros(a.shape[1], dtype=complex), None, 0, None
 
     monkeypatch.setattr(np.linalg, "lstsq", missing_lstsq)
-    assert liftrank._bezout_row(entries) == list(sylvester_bezout(*entries))
-    assert len(calls) == 1
-
-    def balking_fold(f, g):
-        raise CoprimalityFailure("stub")
-
-    monkeypatch.setattr(liftrank, "sylvester_bezout", balking_fold)
-    with pytest.raises(CoprimalityFailure):
-        liftrank._bezout_row(entries)
-    # a fold row that misses the oracle tolerance is rejected as well
-    monkeypatch.setattr(liftrank, "sylvester_bezout",
-                        lambda f, g: (Poly.zero(), Poly.zero()))
     with pytest.raises(CoprimalityFailure):
         liftrank._bezout_row(entries)
 
@@ -146,6 +120,18 @@ def test_lift_random_4x3():
         res = left_invertible_lift(mat, 0.1, disk_column_oracle, rng)
         assert res.residual < 1e-6
         assert res.distance < 0.1
+
+
+def test_lift_column_with_shared_factor():
+    # all three entries vanish at z = 0.3, so the input column generates no
+    # unit ideal and has to be perturbed
+    factor = Poly.from_roots([0.3])
+    rng = seeded_generator(12)
+    mat = AlgMatrix([[factor * random_poly(rng, 2, 0.5)] for _ in range(3)])
+    res = left_invertible_lift(mat, 0.1, disk_column_oracle, rng)
+    assert 0.0 < res.distance < 0.1
+    assert res.residual <= liftrank.LEVEL_ACCEPT_RESIDUAL
+    assert abs(residual_of(res) - res.residual) < 1e-9
 
 
 def test_lift_already_invertible_margin():
@@ -233,6 +219,18 @@ def test_tuple_lift_trivial_generator():
     result = lift_generating_tuple(b, 0.1, seeded_generator(8))
     assert result.residual < 1e-6
     assert max(result.distances) < 0.1
+
+
+def test_tuple_lift_order_one():
+    # GroupSpec(1): a pair of disk-algebra elements, a 2x1 expectation matrix
+    rng = seeded_generator(13)
+    spec = GroupSpec(1)
+    for _ in range(4):
+        b = [random_crossed(rng, spec, 3) for _ in range(2)]
+        result = lift_generating_tuple(b, 0.1, rng)
+        assert result.lift.output.rows == 2 and result.lift.output.cols == 1
+        assert result.residual < 1e-6
+        assert max(result.distances) < 0.1
 
 
 def test_tuple_lift_random_order_two():
