@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import GroupMismatch, VanishingDeterminant
-from .poly import CirclePath, Poly, circle_points, rotate
+from .poly import CirclePath, Poly, grid_coeffs, grid_values, rotate
 
 OMEGA_UNITY_TOL = 1e-12
 DET_FLOOR = 1e-12
@@ -243,21 +243,31 @@ def matrix_embedding(x: CrossedElement) -> "AlgMatrix":
 def det_on_circle(mat: "AlgMatrix", samples: int = 64) -> CirclePath:
     """Determinant loop of a polynomial matrix on the unit circle.
 
-    Evaluates every entry at ``samples`` equispaced circle points and takes
-    numeric determinants.  Rejects loops passing through (numerical) zero,
-    which are useless for winding counts.
+    The determinant is a polynomial of degree at most ``S``, the sum over
+    rows of the largest entry degree, so numeric determinants at ``S + 1``
+    roots of unity interpolate it exactly.  Its coefficients, folded modulo
+    ``samples`` (exact at the ``samples``-th roots of unity), give the loop
+    at the ``circle_points(samples)`` with one FFT: ``S + 1`` determinants
+    whatever the sample count.  Rejects loops passing through (numerical)
+    zero, which are useless for winding counts.
     """
     if mat.rows != mat.cols:
         raise ValueError("determinant needs a square matrix")
     if not all(isinstance(e, Poly) for row in mat.entries for e in row):
         raise TypeError("det_on_circle expects polynomial entries")
-    zs = circle_points(samples)
-    # filled entry by entry, so only one entry's values exist outside the grid
-    grid = np.empty((samples, mat.rows, mat.cols), dtype=complex)
-    for i, row in enumerate(mat.entries):
-        for j, entry in enumerate(row):
-            grid[:, i, j] = entry.eval_on_array(zs)
-    dets = np.linalg.det(grid)
+    if samples < 16:
+        raise ValueError("need at least 16 circle points")
+    size = 1 + sum(max(0, *(e.degree for e in row)) for row in mat.entries)
+    values = grid_values((e for row in mat.entries for e in row), size)
+    coeffs = grid_coeffs(np.linalg.det(
+        np.moveaxis(values.reshape(mat.rows, mat.cols, size), -1, 0)))
+    # coefficient k adds into slot k mod samples; the unscaled inverse FFT is
+    # ``grid_values`` on raw coefficients, which a Poly would trim
+    folded = np.zeros(samples, dtype=complex)
+    for start in range(0, size, samples):
+        chunk = coeffs[start:start + samples]
+        folded[:chunk.size] += chunk
+    dets = np.fft.ifft(folded, norm="forward")
     min_mod = float(np.min(np.abs(dets)))
     if min_mod < DET_FLOOR:
         raise VanishingDeterminant(

@@ -443,9 +443,10 @@ def winding_obstruction(spec: GroupSpec, delta: float, rng: np.random.Generator,
     _check_margin(spec.n, delta)
 
     element = CrossedElement.monomial(spec, 0, Poly.monomial(1))
-    path = det_on_circle(matrix_embedding(element), samples)
+    embedding = matrix_embedding(element)
+    path = det_on_circle(embedding, samples)
     w = winding_number(path)
-    w_fine = winding_number(det_on_circle(matrix_embedding(element), 4 * samples))
+    w_fine = winding_number(det_on_circle(embedding, 4 * samples))
     if w != w_fine:
         raise ValueError(
             f"winding disagrees across sample counts ({w} vs {w_fine}); "
@@ -497,10 +498,10 @@ def verify_winding(obs: WindingObstruction) -> VerificationReport:
         failures.append(f"trial circle minimum {trial_min} does not fit {obs.trials} trials")
     try:
         _check_margin(obs.spec.n, obs.delta)
-        path = det_on_circle(matrix_embedding(obs.element), obs.samples)
+        embedding = matrix_embedding(obs.element)
+        path = det_on_circle(embedding, obs.samples)
         w = winding_number(path)
-        w_fine = winding_number(
-            det_on_circle(matrix_embedding(obs.element), 4 * obs.samples))
+        w_fine = winding_number(det_on_circle(embedding, 4 * obs.samples))
         recomputed.update(winding=float(w), winding_fine=float(w_fine),
                           circle_min=path.min_modulus)
         if w != obs.winding:

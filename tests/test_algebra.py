@@ -12,7 +12,7 @@ from crossrank.algebra import (AlgMatrix, CrossedElement, GroupSpec, convolve,
                                matrix_embedding, matrix_norm_checks,
                                quasi_basis, reconstruct)
 from crossrank.errors import GroupMismatch, VanishingDeterminant
-from crossrank.poly import Poly, winding_number
+from crossrank.poly import Poly, circle_points, winding_number
 from crossrank.randomness import random_crossed, random_poly, seeded_generator
 
 
@@ -227,6 +227,44 @@ def test_det_winding_matches_group_order():
 def test_det_on_circle_rejects_vanishing():
     spec = GroupSpec(2)
     mat = matrix_embedding(CrossedElement.monomial(spec, 0, Poly([-1, 0, 1])))
+    with pytest.raises(VanishingDeterminant):
+        det_on_circle(mat, 64)
+
+
+def _det_loop_by_points(mat: AlgMatrix, samples: int) -> np.ndarray:
+    """Reference loop: Horner values of every entry at each circle point,
+    then one numeric determinant per point."""
+    zs = circle_points(samples)
+    grid = np.array([[e.eval_on_array(zs) for e in row] for row in mat.entries])
+    return np.linalg.det(np.moveaxis(grid, -1, 0))
+
+
+@pytest.mark.parametrize("samples", [64, 1024])
+def test_det_on_circle_matches_pointwise_determinants(samples):
+    # random square matrices that are not embeddings, with entry degrees
+    # differing within a row, so the degree bound is not attained by all
+    rng = seeded_generator(41)
+    for r in range(1, 6):
+        for _ in range(4):
+            degrees = rng.integers(0, 7, size=(r, r))
+            mat = AlgMatrix([[random_poly(rng, d) for d in row] for row in degrees])
+            expected = _det_loop_by_points(mat, samples)
+            got = det_on_circle(mat, samples).samples
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+
+
+def test_det_on_circle_folds_degree_above_samples():
+    # degree 100 at 64 samples: coefficient k lands in slot k mod 64
+    mat = AlgMatrix([[random_poly(seeded_generator(42), 100)]])
+    expected = _det_loop_by_points(mat, 64)
+    got = det_on_circle(mat, 64).samples
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_det_on_circle_rejects_zero_row():
+    mat = AlgMatrix([[Poly([1.0, 2.0]), Poly([0.5j, 0.0, 3.0])],
+                     [Poly.zero(), Poly.zero()]])
     with pytest.raises(VanishingDeterminant):
         det_on_circle(mat, 64)
 

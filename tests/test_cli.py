@@ -131,6 +131,20 @@ def _emptied_trials(payload):
     payload["trial_windings"] = []
 
 
+def _element_zero_on_circle(payload):
+    # z^2 - 1 vanishes at +-1, so the determinant loop meets zero there
+    payload["element"]["comps"][0] = [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+
+
+def _element_squared(payload):
+    # z^2 * delta^0: the determinant loop winds 2n times, not n
+    payload["element"]["comps"][0] = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+
+
+def _nudge_circle_min(payload):
+    payload["circle_min"] += 1e-3
+
+
 def _nan_cofactor(payload):
     payload["cofactors"]["c"]["comps"][0][0][0] = float("nan")
 
@@ -148,6 +162,9 @@ def _nan_residual(payload):
     pytest.param(_conjugation_source, _fake_intertwining, 2, id="fake-intertwining"),
     pytest.param(_conjugation_source, _zero_angles, 2, id="zero-angles"),
     pytest.param(_winding_source, _emptied_trials, 2, id="emptied-trials"),
+    pytest.param(_winding_source, _element_zero_on_circle, 2, id="element-zero-on-circle"),
+    pytest.param(_winding_source, _element_squared, 2, id="element-squared"),
+    pytest.param(_winding_source, _nudge_circle_min, 2, id="nudged-circle-min"),
     pytest.param(_bezout_source, _nan_cofactor, 1, id="nan-cofactor"),
     pytest.param(_bezout_source, _nan_residual, 1, id="nan-residual"),
 ])
