@@ -27,7 +27,6 @@ import numpy as np
 from .errors import GroupMismatch, VanishingDeterminant
 from .poly import CirclePath, Poly, grid_coeffs, grid_values, rotate
 
-OMEGA_UNITY_TOL = 1e-12
 DET_FLOOR = 1e-12
 NORM_SLACK = 1e-12
 
@@ -60,17 +59,18 @@ class GroupSpec:
         return cmath.exp(2j * cmath.pi * self.m / self.n)
 
     @classmethod
-    def from_omega(cls, n: int, omega: complex, tol: float = 1e-6) -> GroupSpec:
-        """Snap a floating root of unity to its exact selector ``m``."""
+    def from_omega(cls, n: int, omega: complex) -> GroupSpec:
+        """Snap a floating root of unity to its exact selector ``m``; it must
+        lie within 1e-6 of the exact root."""
         m = round(cmath.phase(omega) * n / (2.0 * math.pi)) % n
         snapped = cmath.exp(2j * cmath.pi * m / n)
-        if abs(snapped - omega) > tol:
+        if abs(snapped - omega) > 1e-6:
             raise ValueError(f"{omega!r} is not an order-{n} root of unity")
         return cls(n, m)
 
     def twist(self, f: Poly, j: int) -> Poly:
         """Apply the action ``alpha**j`` to a coefficient polynomial."""
-        return rotate(f, self.omega, j % self.n, order=self.n, tol=OMEGA_UNITY_TOL)
+        return rotate(f, self.omega, j % self.n, order=self.n)
 
 
 class CrossedElement:
@@ -240,7 +240,7 @@ def matrix_embedding(x: CrossedElement) -> "AlgMatrix":
     return AlgMatrix(rows)
 
 
-def det_on_circle(mat: "AlgMatrix", samples: int = 64) -> CirclePath:
+def det_on_circle(mat: "AlgMatrix", samples: int) -> CirclePath:
     """Determinant loop of a polynomial matrix on the unit circle.
 
     The determinant is a polynomial of degree at most ``S``, the sum over
@@ -267,13 +267,12 @@ def det_on_circle(mat: "AlgMatrix", samples: int = 64) -> CirclePath:
     for start in range(0, size, samples):
         chunk = coeffs[start:start + samples]
         folded[:chunk.size] += chunk
-    dets = np.fft.ifft(folded, norm="forward")
-    min_mod = float(np.min(np.abs(dets)))
-    if min_mod < DET_FLOOR:
+    path = CirclePath(np.fft.ifft(folded, norm="forward"))
+    if path.min_modulus < DET_FLOOR:
         raise VanishingDeterminant(
-            f"determinant modulus {min_mod:.3e} below {DET_FLOOR:.0e} on the circle",
-            min_modulus=min_mod)
-    return CirclePath(dets)
+            f"determinant modulus {path.min_modulus:.3e} below {DET_FLOOR:.0e} "
+            "on the circle", min_modulus=path.min_modulus)
+    return path
 
 
 def entry_norm(entry) -> float:
@@ -364,29 +363,23 @@ class AlgMatrix:
 
 @dataclass(frozen=True)
 class MatrixNormReport:
-    """Concrete norm facts for a matrix: the summed norm dominates the max
-    entry norm, and is submultiplicative when a second factor is supplied."""
+    """Concrete norm facts for a matrix, and whether the summed norm is
+    submultiplicative when a second factor is supplied."""
 
     max_entry_norm: float
     l1_norm: float
-    lower_ok: bool
     product_norm: float | None = None
     product_bound: float | None = None
     submultiplicative_ok: bool | None = None
 
     @property
     def ok(self) -> bool:
-        return self.lower_ok and self.submultiplicative_ok is not False
+        return self.submultiplicative_ok is not False
 
 
 def matrix_norm_checks(mat: AlgMatrix, other: AlgMatrix | None = None) -> MatrixNormReport:
     total = mat.norm_l1()
-    biggest = mat.max_entry_norm()
-    report = dict(
-        max_entry_norm=biggest,
-        l1_norm=total,
-        lower_ok=biggest <= total * (1.0 + NORM_SLACK) + NORM_SLACK,
-    )
+    report = dict(max_entry_norm=mat.max_entry_norm(), l1_norm=total)
     if other is not None:
         product_norm = (mat * other).norm_l1()
         bound = total * other.norm_l1()

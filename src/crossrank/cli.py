@@ -10,9 +10,9 @@ human-readable diagnostics.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import serialize
@@ -29,31 +29,24 @@ EXIT_MALFORMED = 1
 EXIT_MATH = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the generating commands."""
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as malformed input rather than exiting 2, which
+    the contract reserves for mathematical failures."""
 
-    seed: int = 0
-    n: int = 2
-    m: int = 1
-    degree_cap: int = 4
-    epsilon: float = 0.1
-    samples: int = 1024
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.degree_cap < 0:
-            raise ValueError("degree cap must be nonnegative")
-        if self.samples < 64 or self.samples & (self.samples - 1):
-            raise ValueError("samples must be a power of two, at least 64")
+    def error(self, message):
+        raise ValueError(message)
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(seed=args.seed, n=args.n, m=args.m,
-                     degree_cap=getattr(args, "degree_cap", 4),
-                     epsilon=getattr(args, "epsilon", 0.1),
-                     samples=getattr(args, "samples", 1024))
+def _checked(convert, accept, message):
+    """An argparse ``type`` that converts its text, then rejects values
+    ``accept`` refuses; argparse names ``convert`` when conversion fails."""
+    def parse(text):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def _report_failures(report: VerificationReport, path: str) -> None:
@@ -62,13 +55,12 @@ def _report_failures(report: VerificationReport, path: str) -> None:
 
 
 def _cmd_cert_upper(args) -> int:
-    config = _config(args)
     x = serialize.crossed_from_obj(serialize.read_file(args.x))
     y = serialize.crossed_from_obj(serialize.read_file(args.y))
     if x.spec != y.spec:
         raise ValueError(f"input group specs disagree: {x.spec} vs {y.spec}")
-    rng = seeded_generator(config.seed)
-    cert = bezout_certificate(x, y, config.epsilon, rng, seed=config.seed)
+    rng = seeded_generator(args.seed)
+    cert = bezout_certificate(x, y, args.epsilon, rng, seed=args.seed)
     out = serialize.write_file(args.out, serialize.bezout_to_obj(cert))
     report = verify_bezout(cert)
     if not report.ok:
@@ -79,11 +71,10 @@ def _cmd_cert_upper(args) -> int:
 
 
 def _cmd_cert_lower(args) -> int:
-    config = _config(args)
-    spec = GroupSpec(config.n, config.m)
-    rng = seeded_generator(config.seed)
-    obs = winding_obstruction(spec, args.epsilon, rng, samples=config.samples,
-                              seed=config.seed)
+    spec = GroupSpec(args.n, args.m)
+    rng = seeded_generator(args.seed)
+    obs = winding_obstruction(spec, args.epsilon, rng, samples=args.samples,
+                              seed=args.seed)
     out = serialize.write_file(args.out, serialize.winding_to_obj(obs))
     report = verify_winding(obs)
     if not report.ok:
@@ -106,17 +97,7 @@ def _cmd_verify(args) -> int:
 def _cmd_bounds(args) -> int:
     report = stable_rank_bounds(args.ltsr_a, group_order=args.n,
                                 matrix_size=args.matrix_size, ltsr_b=args.ltsr_b)
-    payload = {
-        "ltsr_a": report.ltsr_a,
-        "group_order": report.group_order,
-        "matrix_size": report.matrix_size,
-        "ltsr_b": report.ltsr_b,
-        "crossed_product_bound": report.crossed_product_bound,
-        "cyclic_bound": report.cyclic_bound,
-        "matrix_formula": report.matrix_formula,
-        "reverse_bound": report.reverse_bound,
-    }
-    print(serialize.dumps(payload), end="")
+    print(serialize.dumps(dataclasses.asdict(report)), end="")
     return EXIT_OK
 
 
@@ -134,13 +115,12 @@ def _cmd_conjugate(args) -> int:
 
 
 def _cmd_random(args) -> int:
-    config = _config(args)
-    spec = GroupSpec(config.n, config.m)
-    rng = seeded_generator(config.seed)
+    spec = GroupSpec(args.n, args.m)
+    rng = seeded_generator(args.seed)
     stem = Path(args.out)
     paths = []
     for tag in ("x", "y"):
-        element = random_crossed(rng, spec, config.degree_cap)
+        element = random_crossed(rng, spec, args.degree_cap)
         paths.append(serialize.write_file(
             stem.with_name(stem.name + f"-{tag}.json"),
             serialize.crossed_to_obj(element)))
@@ -150,9 +130,8 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_random_subgroup(args) -> int:
-    config = _config(args)
-    rng = seeded_generator(config.seed)
-    subgroup = make_finite_subgroup(config.n, random_su11(rng), config.m)
+    rng = seeded_generator(args.seed)
+    subgroup = make_finite_subgroup(args.n, random_su11(rng), args.m)
     out = serialize.write_file(args.out, serialize.subgroup_to_obj(subgroup))
     print(out)
     return EXIT_OK
@@ -165,18 +144,24 @@ def _add_common(parser, *, epsilon=None, samples=False, degree_cap=False):
     parser.add_argument("--m", type=int, default=1,
                         help="primitive-root selector, coprime to n")
     if epsilon is not None:
-        parser.add_argument("--epsilon", type=float, default=epsilon,
+        parser.add_argument("--epsilon", default=epsilon,
+                            type=_checked(float, lambda v: v > 0,
+                                          "epsilon must be positive"),
                             help="accuracy / perturbation margin")
     if samples:
-        parser.add_argument("--samples", type=int, default=1024,
+        parser.add_argument("--samples", default=1024,
+                            type=_checked(int, lambda v: v >= 64 and not v & (v - 1),
+                                          "samples must be a power of two, at least 64"),
                             help="circle sample count (power of two, >= 64)")
     if degree_cap:
-        parser.add_argument("--degree-cap", dest="degree_cap", type=int, default=4,
+        parser.add_argument("--degree-cap", dest="degree_cap", default=4,
+                            type=_checked(int, lambda v: v >= 0,
+                                          "degree cap must be nonnegative"),
                             help="maximum component degree for random elements")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crossrank",
         description="stable-rank certificates for crossed products of the "
                     "polynomial disk algebra")
@@ -232,9 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ Two certificate types live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -158,9 +158,6 @@ class ScalingReport:
     def max_deviation(self) -> float:
         return max(self.deviations.values())
 
-    def ok(self, tol: float = 1e-8) -> bool:
-        return self.max_deviation < tol
-
 
 def homogeneity_check(a: CrossedElement, scale: complex) -> ScalingReport:
     """Compare ``eliminate(scale * a)`` against the predicted stage scaling."""
@@ -209,7 +206,6 @@ def reduced_norm(a: CrossedElement) -> tuple[Poly, CrossedElement]:
 
 def perturb_avoiding(a: CrossedElement, avoid: Iterable[complex], eps: float,
                      rng: np.random.Generator,
-                     max_attempts: int = PERTURB_MAX_ATTEMPTS,
                      force: bool = False) -> tuple[CrossedElement, Poly, CrossedElement]:
     """Nudge the constant coefficient of ``a_0`` until the roots of the
     reduced norm clear the set ``avoid``.
@@ -224,7 +220,7 @@ def perturb_avoiding(a: CrossedElement, avoid: Iterable[complex], eps: float,
     exhaustion is the best ``min |r - p| / (1 + |p|)`` seen.  The unperturbed
     input is accepted when it already qualifies, unless ``force`` asks for
     a fresh draw.  Attempt ``t`` adds a uniformly random phase of modulus
-    ``eps/2 * (1 - t/128)``; after ``max_attempts`` failures the input is
+    ``eps/2 * (1 - t/128)``; after ``PERTURB_MAX_ATTEMPTS`` failures the input is
     deemed pathological.
     """
     if eps <= 0:
@@ -252,7 +248,7 @@ def perturb_avoiding(a: CrossedElement, avoid: Iterable[complex], eps: float,
         if found is not None:
             return found
 
-    for t in range(1, max_attempts + 1):
+    for t in range(1, PERTURB_MAX_ATTEMPTS + 1):
         modulus = 0.5 * eps * (1.0 - t / 128.0)
         shift = modulus * np.exp(2j * np.pi * rng.uniform())
         comps = list(a.comps)
@@ -263,10 +259,10 @@ def perturb_avoiding(a: CrossedElement, avoid: Iterable[complex], eps: float,
 
     seen = "none" if best_sep is None else f"{best_sep:.3e}"
     raise PerturbationExhausted(
-        f"no admissible perturbation within {max_attempts} attempts (best "
+        f"no admissible perturbation within {PERTURB_MAX_ATTEMPTS} attempts (best "
         f"min |r - p| / (1 + |p|) over avoided points p: {seen}, "
         f"needs > {SEPARATION_BASE:.0e})",
-        attempts=max_attempts, best_separation=best_sep)
+        attempts=PERTURB_MAX_ATTEMPTS, best_separation=best_sep)
 
 
 @dataclass(frozen=True)
@@ -305,8 +301,8 @@ def _in_z(f: Poly, n: int) -> Poly:
 
 
 def bezout_certificate(x: CrossedElement, y: CrossedElement, eps: float,
-                       rng: np.random.Generator, seed: int | None = None,
-                       max_retries: int = 8) -> BezoutCertificate:
+                       rng: np.random.Generator,
+                       seed: int | None = None) -> BezoutCertificate:
     """Produce a Bezout certificate for a pair within ``eps`` of ``(x, y)``.
 
     Perturbs ``x`` so its reduced norm ``D_a`` is nonzero, perturbs ``y``
@@ -321,8 +317,8 @@ def bezout_certificate(x: CrossedElement, y: CrossedElement, eps: float,
 
     An occasional draw produces reduced norms whose resultant is so small
     that the cofactor residual cannot be certified in double precision;
-    each retry redraws both perturbations (within the same budgets), which
-    reshuffles the resultant by orders of magnitude.
+    each of up to seven retries redraws both perturbations (within the
+    same budgets), which reshuffles the resultant by orders of magnitude.
     """
     if x.spec != y.spec:
         raise GroupMismatch("certificate inputs live over different groups")
@@ -333,7 +329,7 @@ def bezout_certificate(x: CrossedElement, y: CrossedElement, eps: float,
     half = eps / 2.0
     n = spec.n
     last: CoprimalityFailure | None = None
-    for attempt in range(max_retries):
+    for attempt in range(8):
         fresh = attempt > 0
         a, norm_a, adj_a = perturb_avoiding(x, (), half, rng, force=fresh)
         b, norm_b, adj_b = perturb_avoiding(y, roots(norm_a), half, rng, force=fresh)
@@ -363,12 +359,14 @@ def bezout_certificate(x: CrossedElement, y: CrossedElement, eps: float,
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of an independent re-check of a stored certificate."""
+    """Outcome of an independent re-check of a stored certificate: the
+    failures found, none when the certificate holds."""
 
-    kind: str
-    ok: bool
     failures: tuple[str, ...]
-    recomputed: Mapping[str, float] = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def verify_bezout(cert: BezoutCertificate) -> VerificationReport:
@@ -390,9 +388,7 @@ def verify_bezout(cert: BezoutCertificate) -> VerificationReport:
         if not abs(fresh - stored) <= VERIFY_AGREEMENT_TOL:
             failures.append(
                 f"stored {name} {stored:.12e} disagrees with recomputed {fresh:.12e}")
-    return VerificationReport(
-        kind="bezout", ok=not failures, failures=tuple(failures),
-        recomputed={"residual": residual, "distance_x": dist_x, "distance_y": dist_y})
+    return VerificationReport(tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -431,13 +427,13 @@ def _check_margin(n: int, delta: float) -> None:
 
 
 def winding_obstruction(spec: GroupSpec, delta: float, rng: np.random.Generator,
-                        samples: int = 1024, trials: int = 10,
+                        samples: int = 1024,
                         seed: int | None = None) -> WindingObstruction:
     """Build the obstruction for ``z * delta^0`` over the given group.
 
     Checks the margin with ``_check_margin``, computes the determinant loop
     winding at ``samples`` and ``4 * samples`` points, and confirms the
-    count survives ``trials`` random perturbations of summed norm below
+    count survives ten random perturbations of summed norm below
     ``delta``.
     """
     _check_margin(spec.n, delta)
@@ -453,7 +449,7 @@ def winding_obstruction(spec: GroupSpec, delta: float, rng: np.random.Generator,
             "raise the sample count")
 
     trial_windings, trial_lows = [], []
-    for _ in range(trials):
+    for _ in range(10):
         bump = _random_perturbation(spec, delta, rng)
         trial = det_on_circle(matrix_embedding(element + bump), samples)
         trial_windings.append(winding_number(trial))
@@ -461,7 +457,7 @@ def winding_obstruction(spec: GroupSpec, delta: float, rng: np.random.Generator,
 
     return WindingObstruction(
         element=element, circle_min=path.min_modulus, winding=w,
-        samples=samples, delta=delta, trials=trials,
+        samples=samples, delta=delta, trials=len(trial_windings),
         trial_windings=tuple(trial_windings),
         trial_circle_min=min(trial_lows, default=None), seed=seed)
 
@@ -489,7 +485,6 @@ def verify_winding(obs: WindingObstruction) -> VerificationReport:
     random trials would cost several times the rest of the check.
     """
     failures = []
-    recomputed: dict[str, float] = {}
     if len(obs.trial_windings) != obs.trials:
         failures.append(f"{len(obs.trial_windings)} trial windings for {obs.trials} trials")
     trial_min = obs.trial_circle_min
@@ -502,8 +497,6 @@ def verify_winding(obs: WindingObstruction) -> VerificationReport:
         path = det_on_circle(embedding, obs.samples)
         w = winding_number(path)
         w_fine = winding_number(det_on_circle(embedding, 4 * obs.samples))
-        recomputed.update(winding=float(w), winding_fine=float(w_fine),
-                          circle_min=path.min_modulus)
         if w != obs.winding:
             failures.append(f"stored winding {obs.winding} != recomputed {w}")
         if w_fine != obs.winding:
@@ -519,6 +512,4 @@ def verify_winding(obs: WindingObstruction) -> VerificationReport:
             failures.append("a perturbation trial changed the winding count")
     except Exception as exc:  # margin, determinant through zero, undersampled, ...
         failures.append(f"recomputation failed: {exc}")
-    return VerificationReport(
-        kind="winding", ok=not failures, failures=tuple(failures),
-        recomputed=recomputed)
+    return VerificationReport(tuple(failures))

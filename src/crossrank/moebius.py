@@ -296,13 +296,12 @@ def conjugate_into_rotations(subgroup: FiniteCyclicSubgroup) -> ConjugationResul
 class RotationAction:
     """A finite automorphism group rewritten as a rotation action.
 
-    ``spec`` drives the crossed-product machinery directly; ``conjugator``
+    ``spec`` drives the crossed-product machinery directly; ``conjugation.h``
     intertwines the original action with the rotation one, which is what
     makes stable-rank certificates for the original group transfer.
     """
 
     spec: GroupSpec
-    conjugator: SU11Element
     conjugation: ConjugationResult
     intertwining_residual: float
 
@@ -318,7 +317,7 @@ def rotation_action_of(subgroup: FiniteCyclicSubgroup) -> RotationAction:
     result = conjugate_into_rotations(subgroup)
     spec = _derived_spec(subgroup.order, result.rotation_angles)
     return RotationAction(
-        spec=spec, conjugator=result.h, conjugation=result,
+        spec=spec, conjugation=result,
         intertwining_residual=intertwining_residual(subgroup.generator, result.h, spec))
 
 
@@ -343,7 +342,7 @@ def verify_conjugation(subgroup: FiniteCyclicSubgroup,
     stored order against the subgroup's.
     """
     stored = action.conjugation
-    fresh, angles = conjugation_residual(subgroup, action.conjugator)
+    fresh, angles = conjugation_residual(subgroup, stored.h)
     failures = []
     if not fresh < CONJUGATION_TOL:
         failures.append(f"conjugation residual {fresh:.3e} >= {CONJUGATION_TOL:.0e}")
@@ -364,8 +363,7 @@ def verify_conjugation(subgroup: FiniteCyclicSubgroup,
         if derived != action.spec:
             failures.append(
                 f"stored derived spec {action.spec} differs from recomputed {derived}")
-        worst = intertwining_residual(subgroup.generator, action.conjugator, derived)
+        worst = intertwining_residual(subgroup.generator, stored.h, derived)
         if not abs(worst - action.intertwining_residual) <= VERIFY_AGREEMENT_TOL:
             failures.append("stored intertwining residual disagrees with recomputed value")
-    return VerificationReport(kind="conjugation", ok=not failures,
-                              failures=tuple(failures), recomputed={"residual": fresh})
+    return VerificationReport(tuple(failures))

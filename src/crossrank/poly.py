@@ -14,8 +14,8 @@ their sup-norm counterparts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -87,14 +87,6 @@ class Poly:
             raise ValueError("power must be nonnegative")
         return cls((0.0,) * power + (coeff,))
 
-    @classmethod
-    def from_roots(cls, roots: Iterable[complex]) -> Poly:
-        """Monic polynomial with the given root multiset."""
-        out = cls.one()
-        for r in roots:
-            out = out * cls((-complex(r), 1.0))
-        return out
-
     # -- structure
 
     @property
@@ -150,17 +142,6 @@ class Poly:
             return Poly(self._coeffs / scalar)
         return NotImplemented
 
-    def __pow__(self, n: int) -> Poly:
-        if n < 0:
-            raise ValueError("negative powers are not polynomials")
-        out, base = Poly.one(), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __call__(self, z: complex) -> complex:
         return complex(self.eval_on_array(np.asarray(z)))
 
@@ -185,20 +166,20 @@ class Poly:
         return f"Poly({self._coeffs.tolist()!r})"
 
 
-def rotate(f: Poly, omega: complex, j: int = 1, order: int | None = None,
-           tol: float = ROOT_OF_UNITY_TOL) -> Poly:
+def rotate(f: Poly, omega: complex, j: int = 1, order: int | None = None) -> Poly:
     """Twist ``f`` by the disk rotation ``z -> omega**j * z``.
 
     Coefficient ``c_k`` becomes ``c_k * omega**(j*k)``, i.e. the result is
     ``f`` composed with multiplication by ``omega**j``.  When ``order`` is
-    given, ``omega`` must be an ``order``-th root of unity to within ``tol``.
+    given, ``omega`` must be an ``order``-th root of unity to within
+    ``ROOT_OF_UNITY_TOL``.
     The twist is isometric for the Wiener norm since ``|omega**(j*k)| = 1``.
     """
     omega = complex(omega)
     if order is not None:
         if order < 1:
             raise ValueError("order must be positive")
-        if abs(omega ** order - 1.0) > tol:
+        if abs(omega ** order - 1.0) > ROOT_OF_UNITY_TOL:
             raise ValueError(
                 f"omega={omega!r} is not an order-{order} root of unity "
                 f"(|omega**n - 1| = {abs(omega ** order - 1.0):.3e})")
@@ -246,24 +227,6 @@ def min_separation(us: np.ndarray, vs: np.ndarray) -> float:
     """Smallest ``|u - v|`` over two point sets; infinite if either is empty."""
     gaps = np.abs(np.subtract.outer(us, vs))
     return float(gaps.min()) if gaps.size else math.inf
-
-
-def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder with ``f = q*g + r`` and ``deg r < deg g``."""
-    if g.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    dg = g.degree
-    if f.degree < dg:
-        return Poly.zero(), f
-    gc = g.coeffs
-    lead = gc[-1]
-    rem = f.coeffs.copy()
-    quot = np.zeros(f.degree - dg + 1, dtype=complex)
-    for i in range(quot.size - 1, -1, -1):
-        c = rem[i + dg] / lead
-        quot[i] = c
-        rem[i:i + dg + 1] -= c * gc
-    return Poly(quot), Poly(rem[:dg])
 
 
 def roots(f: Poly) -> np.ndarray:
@@ -368,9 +331,11 @@ def sylvester_bezout(f: Poly, g: Poly) -> tuple[Poly, Poly]:
 class CirclePath:
     """Values of a function at equispaced points ``exp(2*pi*i*k/m)`` on the
     unit circle, the discrete loop that winding numbers are read from; the
-    samples are a read-only complex128 array."""
+    samples are a read-only complex128 array, and ``min_modulus``, the
+    smallest sample modulus, is taken once on construction."""
 
     samples: np.ndarray
+    min_modulus: float = field(init=False)
 
     def __post_init__(self):
         samples = np.array(self.samples, dtype=complex)
@@ -378,25 +343,7 @@ class CirclePath:
             raise ValueError("a circle path needs at least 16 samples")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-
-    @classmethod
-    def from_function(cls, fn: Callable[[complex], complex], m: int) -> CirclePath:
-        return cls([fn(z) for z in circle_points(m)])
-
-    @property
-    def m(self) -> int:
-        return self.samples.size
-
-    @property
-    def min_modulus(self) -> float:
-        return float(np.min(_moduli(self.samples)))
-
-    def __mul__(self, other: CirclePath) -> CirclePath:
-        if not isinstance(other, CirclePath):
-            return NotImplemented
-        if self.m != other.m:
-            raise ValueError("pointwise product needs equal sample counts")
-        return CirclePath(self.samples * other.samples)
+        object.__setattr__(self, "min_modulus", float(np.min(_moduli(samples))))
 
 
 def circle_points(m: int) -> np.ndarray:

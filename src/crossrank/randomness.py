@@ -23,9 +23,9 @@ def random_poly(rng: np.random.Generator, max_degree: int, scale: float = 1.0) -
     return Poly(scale * coeffs)
 
 
-def random_crossed(rng: np.random.Generator, spec: GroupSpec, max_degree: int,
-                   norm_low: float = 0.4, norm_high: float = 0.9) -> CrossedElement:
-    """Random crossed element rescaled to a summed norm in the given range.
+def random_crossed(rng: np.random.Generator, spec: GroupSpec,
+                   max_degree: int) -> CrossedElement:
+    """Random crossed element rescaled to a summed norm uniform in [0.4, 0.9].
 
     Keeping norms below one keeps the elimination cascade (which squares
     magnitudes at every stage) numerically tame.
@@ -34,13 +34,13 @@ def random_crossed(rng: np.random.Generator, spec: GroupSpec, max_degree: int,
     norm = raw.l1_norm()
     if norm == 0.0:
         return raw
-    return raw * (rng.uniform(norm_low, norm_high) / norm)
+    return raw * (rng.uniform(0.4, 0.9) / norm)
 
 
-def random_su11(rng: np.random.Generator, min_boost: float = 0.2,
-                max_boost: float = 1.2) -> SU11Element:
-    """Random hyperbolic-ish disk symmetry ``(cosh t e^{i p}, sinh t e^{i q})``."""
-    t = rng.uniform(min_boost, max_boost)
+def random_su11(rng: np.random.Generator) -> SU11Element:
+    """Random hyperbolic-ish disk symmetry ``(cosh t e^{i p}, sinh t e^{i q})``
+    with boost ``t`` uniform in [0.2, 1.2]."""
+    t = rng.uniform(0.2, 1.2)
     p = rng.uniform(0.0, 2.0 * np.pi)
     q = rng.uniform(0.0, 2.0 * np.pi)
     return SU11Element(np.cosh(t) * np.exp(1j * p), np.sinh(t) * np.exp(1j * q))

@@ -168,7 +168,7 @@ def rotation_action_to_obj(action: RotationAction,
     return {
         "type": "conjugation",
         "subgroup": subgroup_to_obj(subgroup),
-        "h": su11_to_obj(action.conjugator),
+        "h": su11_to_obj(action.conjugation.h),
         "residual": action.conjugation.residual,
         "rotation_angles": list(action.conjugation.rotation_angles),
         "order": action.conjugation.order,
@@ -181,7 +181,7 @@ def rotation_action_from_obj(obj) -> RotationAction:
     h, derived = su11_from_obj(obj["h"]), obj["derived_spec"]
     angles = tuple(float(a) for a in obj["rotation_angles"])
     return RotationAction(
-        spec=GroupSpec(int(derived["n"]), int(derived["m"])), conjugator=h,
+        spec=GroupSpec(int(derived["n"]), int(derived["m"])),
         conjugation=ConjugationResult(h, float(obj["residual"]), angles, int(obj["order"])),
         intertwining_residual=float(obj["intertwining_residual"]))
 

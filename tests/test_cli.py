@@ -208,10 +208,25 @@ def test_verify_batch(tmp_path):
     assert main(["verify", str(a), str(b)]) == 0
 
 
+BOUNDS_STDOUT = """{
+  "crossed_product_bound": 4,
+  "cyclic_bound": 3,
+  "group_order": 3,
+  "ltsr_a": 2,
+  "ltsr_b": 2,
+  "matrix_formula": 2,
+  "matrix_size": 4,
+  "reverse_bound": 13
+}
+"""
+
+
 def test_bounds_reports_values(capsys):
     assert main(["bounds", "--ltsr-a", "2", "--n", "3", "--matrix-size", "4",
                  "--ltsr-b", "2"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out == BOUNDS_STDOUT
+    payload = json.loads(out)
     assert payload["crossed_product_bound"] == 4
     assert payload["cyclic_bound"] == 3
     assert payload["matrix_formula"] == 2  # ceil(1/4) + 1
@@ -256,6 +271,21 @@ def test_config_validation(tmp_path):
                  "--out", str(tmp_path / "o.json")]) == 1
     assert main(["cert-lower", "--n", "2", "--samples", "32",
                  "--out", str(tmp_path / "o.json")]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["random", "--n", "abc", "--out", "x"],
+    ["cert-upper"],
+    ["no-such-command"],
+    ["cert-lower", "--epsilon", "-1", "--out", "x"],
+    ["random", "--degree-cap", "-1", "--out", "x"],
+])
+def test_usage_errors_are_malformed_input(argv, capsys):
+    # argparse alone would exit 2, the code reserved for mathematical failures
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "malformed input" in err
+    assert "Traceback" not in err
 
 
 def test_missing_file_is_malformed(tmp_path):

