@@ -58,7 +58,9 @@ class Poly:
             # a list max is cheaper than an array reduction at these sizes
             moduli = mags.tolist()
             cut = trim * max(moduli)
-            if not moduli[-1] > cut:
+            # an overflowed modulus makes the cut inf (or NaN at trim 0), and
+            # every modulus is <= inf: keep all, so norms read inf, not 0
+            if not moduli[-1] > cut and cut < math.inf:
                 # NaN compares false both ways, so a NaN is never trimmed
                 kept = np.flatnonzero(~(mags <= cut))
                 cs = cs[:kept[-1] + 1] if kept.size else cs[:0]

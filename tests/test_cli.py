@@ -153,6 +153,39 @@ def _nan_residual(payload):
     payload["residual"] = float("nan")
 
 
+# ``json.dumps`` cannot write an overflowing literal: a tamper that returns
+# text puts it in the file where it left this marker
+RAW = "raw-literal"
+
+
+def _overflow_epsilon(payload):
+    # parses to inf, and every distance is below inf
+    payload["epsilon"] = RAW
+    return "1e999"
+
+
+def _overflow_cofactor(payload):
+    payload["cofactors"]["c"]["comps"][0][0][0] = RAW
+    return "1e999"
+
+
+def _huge_int_cofactor(payload):
+    # a valid JSON integer that no float can hold
+    payload["cofactors"]["c"]["comps"][0][0][0] = RAW
+    return "1" + "0" * 400
+
+
+def _overflowed_modulus_input(payload):
+    # both parts finite, modulus above the float range
+    big = 1.7976931348623157e308
+    payload["inputs"]["x"]["comps"][0][0] = [big, big]
+
+
+def _string_epsilon(payload):
+    # float("Infinity") is inf: a string is not a number
+    payload["epsilon"] = "Infinity"
+
+
 @pytest.mark.parametrize("source, tamper, code", [
     pytest.param(_bezout_source, _nudge_cofactor, 2, id="nudged-cofactor"),
     pytest.param(_bezout_source, _zero_cofactors, 2, id="zero-cofactors"),
@@ -167,16 +200,28 @@ def _nan_residual(payload):
     pytest.param(_winding_source, _nudge_circle_min, 2, id="nudged-circle-min"),
     pytest.param(_bezout_source, _nan_cofactor, 1, id="nan-cofactor"),
     pytest.param(_bezout_source, _nan_residual, 1, id="nan-residual"),
+    pytest.param(_bezout_source, _overflow_epsilon, 1, id="overflow-epsilon"),
+    pytest.param(_bezout_source, _overflow_cofactor, 1, id="overflow-cofactor"),
+    pytest.param(_bezout_source, _huge_int_cofactor, 1, id="huge-int-cofactor"),
+    pytest.param(_bezout_source, _string_epsilon, 1, id="string-epsilon"),
+    pytest.param(_bezout_source, _overflowed_modulus_input, 2, id="overflowed-modulus-input",
+                 marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
 ])
-def test_verify_round_trip_and_corruption(tmp_path, source, tamper, code):
+def test_verify_round_trip_and_corruption(tmp_path, capsys, source, tamper, code):
     out = source(tmp_path)
     assert main(["verify", str(out)]) == 0
 
     payload = json.loads(out.read_text())
-    tamper(payload)
+    literal = tamper(payload)
+    text = json.dumps(payload)
+    if literal is not None:
+        assert text.count(json.dumps(RAW)) == 1
+        text = text.replace(json.dumps(RAW), literal)
     corrupted = tmp_path / "corrupted.json"
-    corrupted.write_text(json.dumps(payload))
+    corrupted.write_text(text)
+    capsys.readouterr()
     assert main(["verify", str(corrupted)]) == code
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["bezout", "winding", "conjugation", "bezout-cascade-n3"])
@@ -208,17 +253,9 @@ def test_verify_batch(tmp_path):
     assert main(["verify", str(a), str(b)]) == 0
 
 
-BOUNDS_STDOUT = """{
-  "crossed_product_bound": 4,
-  "cyclic_bound": 3,
-  "group_order": 3,
-  "ltsr_a": 2,
-  "ltsr_b": 2,
-  "matrix_formula": 2,
-  "matrix_size": 4,
-  "reverse_bound": 13
-}
-"""
+BOUNDS_STDOUT = ('{"crossed_product_bound":4,"cyclic_bound":3,"group_order":3,'
+                 '"ltsr_a":2,"ltsr_b":2,"matrix_formula":2,"matrix_size":4,'
+                 '"reverse_bound":13}\n')
 
 
 def test_bounds_reports_values(capsys):

@@ -1,13 +1,15 @@
 """Byte identity with stored outputs: a speed-up must not move a single byte.
 
 Each test regenerates one file under ``data/golden-*`` from the same seed
-and compares bytes.  The two lift files were written when matrix lifts
-moved from the column-oracle induction to the maximal minors (the left
-inverse ``sum_I d_I adj(X_I) E_I``); both inputs lift unperturbed, at
-distance 0.  ``golden-cert-upper-n3.json`` was written when Bezout cofactors
-moved from the elimination cascade to the reduced norm; the cascade's
-certificate for the same command is kept as ``data/bezout-cascade-n3.json``,
-which ``tests/test_cli.py`` still verifies.
+and compares bytes.  The two lift files hold the lifts by the maximal
+minors (the left inverse ``sum_I d_I adj(X_I) E_I``); both inputs lift
+unperturbed, at distance 0.  ``golden-cert-upper-n3.json`` holds the Bezout
+cofactors from the reduced norm; the elimination cascade's certificate for
+the same command is kept as ``data/bezout-cascade-n3.json``, which
+``tests/test_cli.py`` still verifies.  All three files were re-written in
+the compact encoding (no whitespace) when ``serialize.dumps`` left
+``indent=2``: each parses to the payload of its indented predecessor, except
+the lifts' ``input_sha256``, which hashes the encoding of the input matrix.
 """
 from __future__ import annotations
 

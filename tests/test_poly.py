@@ -85,6 +85,16 @@ def test_trim_threshold_relative():
     assert g.degree == 1
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowed_modulus_is_never_trimmed():
+    # each part is finite but |z| overflows; a relative cut of inf once
+    # trimmed every coefficient, so a difference with it read as zero
+    big = complex(1.7976931348623157e308, 1.7976931348623157e308)
+    for trim in (0.0, 1e-12):
+        assert Poly([1.0, big, 1e-20], trim=trim).degree == 2
+    assert (Poly([1.0, big]) - Poly([1.0])).wiener_norm() == float("inf")
+
+
 def test_scalar_ops():
     f = Poly([1, 2])
     assert 2 * f == Poly([2, 4])

@@ -2,11 +2,18 @@
 from __future__ import annotations
 
 import json
+import math
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crossrank import serialize
 from crossrank.algebra import AlgMatrix, GroupSpec
+from crossrank.cli import main
 from crossrank.elimination import bezout_certificate, winding_obstruction
 from crossrank.liftrank import disk_column_oracle, left_invertible_lift
 from crossrank.moebius import make_finite_subgroup, rotation_action_of
@@ -20,6 +27,62 @@ def test_poly_round_trip_exact():
     obj = serialize.poly_to_obj(f)
     assert serialize.poly_from_obj(obj) == f
     assert obj[0] == [0.1, 0.2]
+
+
+MAX = sys.float_info.max
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# a coefficient whose modulus overflows is no polynomial to round-trip
+pair = st.tuples(finite, finite).filter(lambda p: math.hypot(p[0] / 2, p[1] / 2) < MAX / 2)
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(st.lists(pair, max_size=8))
+@example([(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (1.0, 0.0)])
+@example([(5e-324, -2.2250738585072014e-308), (-5e-324, 1e-310)])
+@example([(MAX, -0.0), (-MAX, 1.0), (0.0, MAX), (-5e-324, -MAX)])
+def test_poly_round_trip_bits(pairs):
+    # dumps -> loads -> poly_from_obj returns every coefficient bit, signed
+    # zeros and subnormals included
+    f = Poly([complex(re, im) for re, im in pairs], trim=0.0)
+    text = serialize.dumps(serialize.poly_to_obj(f))
+    for parse in (json.loads, serialize.loads):
+        back = serialize.poly_from_obj(parse(text))
+        assert back.coeffs.view(np.uint64).tolist() == f.coeffs.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("obj", [[[1.0]], [[1.0, 2.0, 3.0]], [[[1.0, 2.0]]]],
+                         ids=["short-pair", "long-pair", "nested-pair"])
+def test_poly_from_obj_rejects_shapes(tmp_path, obj):
+    with pytest.raises(ValueError):
+        serialize.poly_from_obj(obj)
+    payload = json.loads((Path(__file__).parent / "data" / "bezout.json").read_text())
+    payload["cofactors"]["c"]["comps"][0] = obj
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", str(path)]) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "NaN", "Infinity", "-Infinity", "1e999", "-1e999", "[0.0, 1e400]",
+    pytest.param("1" + "0" * 400, id="huge-int"),
+    pytest.param("-1" + "0" * 400, id="huge-negative-int"),
+])
+def test_loads_rejects_non_finite(text):
+    with pytest.raises(ValueError):
+        serialize.loads(text)
+
+
+def test_loads_keeps_extreme_finite_values():
+    assert serialize.loads("[1.7976931348623157e308, 5e-324, -0.0, 1e-999]") == \
+        [MAX, 5e-324, -0.0, 0.0]
+    big = int(MAX)
+    assert serialize.loads(str(big)) == big
+
+
+def test_dumps_is_compact_and_sorted():
+    assert serialize.dumps({"b": [1.5, -0.0], "a": None}) == '{"a":null,"b":[1.5,-0.0]}\n'
+    with pytest.raises(ValueError):
+        serialize.dumps(float("inf"))
 
 
 def test_zero_poly_is_empty_array():
