@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -160,7 +161,13 @@ def _add_common(parser, *, epsilon=None, samples=False, degree_cap=False):
                             help="maximum component degree for random elements")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then shared by
+    every later call in the process, so that repeated ``main`` calls pay
+    only for parsing.  Callers must not mutate it (``add_argument``,
+    ``set_defaults`` and the like), since the change would reach them all.
+    """
     parser = _Parser(
         prog="crossrank",
         description="stable-rank certificates for crossed products of the "

@@ -8,9 +8,11 @@ data produce byte-identical files.  Reading accepts any JSON whitespace,
 so files written with indentation by earlier releases still read.  Every
 number read must be finite: ``NaN``, ``Infinity``, a float literal that
 overflows (``1e999``) and an integer beyond the float range are malformed
-input, as is a string where a number belongs.  ``verify_obj`` dispatches
-a certificate payload to its verifier by the ``"type"`` tag the writers
-below emit.
+input, as is a string where a number belongs.  An integer field (a group
+order or selector, a winding, a sample or trial count, a matrix shape)
+must hold a JSON integer: a boolean, a string or any float, ``4.0``
+included, is malformed input.  ``verify_obj`` dispatches a certificate
+payload to its verifier by the ``"type"`` tag the writers below emit.
 """
 from __future__ import annotations
 
@@ -76,6 +78,14 @@ def _real(value) -> float:
     return float(value)
 
 
+def _integer(value) -> int:
+    """A JSON integer as an int; a boolean, a string or a float (even an
+    integral one such as ``4.0``) is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 # -- complex / polynomial / crossed element
 
 def complex_to_obj(z: complex) -> list[float]:
@@ -105,7 +115,7 @@ def crossed_to_obj(x: CrossedElement) -> dict:
 
 
 def crossed_from_obj(obj) -> CrossedElement:
-    spec = GroupSpec(int(obj["n"]), int(obj["m"]))
+    spec = GroupSpec(_integer(obj["n"]), _integer(obj["m"]))
     return CrossedElement(spec, [poly_from_obj(c) for c in obj["comps"]])
 
 
@@ -164,11 +174,11 @@ def winding_from_obj(obj) -> WindingObstruction:
     return WindingObstruction(
         element=crossed_from_obj(obj["element"]),
         circle_min=_real(obj["circle_min"]),
-        winding=int(obj["winding"]),
-        samples=int(obj["samples"]),
+        winding=_integer(obj["winding"]),
+        samples=_integer(obj["samples"]),
         delta=_real(obj["delta"]),
-        trials=int(obj["trials"]),
-        trial_windings=tuple(int(w) for w in obj["trial_windings"]),
+        trials=_integer(obj["trials"]),
+        trial_windings=tuple(_integer(w) for w in obj["trial_windings"]),
         trial_circle_min=(None if obj.get("trial_circle_min") is None
                           else _real(obj["trial_circle_min"])),
         seed=obj.get("seed"),
@@ -194,8 +204,8 @@ def subgroup_to_obj(subgroup: FiniteCyclicSubgroup) -> dict:
 
 def subgroup_from_obj(obj) -> FiniteCyclicSubgroup:
     built = FiniteCyclicSubgroup.build(su11_from_obj(obj["generator"]),
-                                       int(obj["order"]))
-    if "sign" in obj and int(obj["sign"]) != built.sign:
+                                       _integer(obj["order"]))
+    if "sign" in obj and _integer(obj["sign"]) != built.sign:
         raise ValueError("stored sign flag disagrees with the generator")
     return built
 
@@ -218,8 +228,9 @@ def rotation_action_from_obj(obj) -> RotationAction:
     h, derived = su11_from_obj(obj["h"]), obj["derived_spec"]
     angles = tuple(_real(a) for a in obj["rotation_angles"])
     return RotationAction(
-        spec=GroupSpec(int(derived["n"]), int(derived["m"])),
-        conjugation=ConjugationResult(h, _real(obj["residual"]), angles, int(obj["order"])),
+        spec=GroupSpec(_integer(derived["n"]), _integer(derived["m"])),
+        conjugation=ConjugationResult(h, _real(obj["residual"]), angles,
+                                      _integer(obj["order"])),
         intertwining_residual=_real(obj["intertwining_residual"]))
 
 
@@ -271,7 +282,7 @@ def matrix_to_obj(mat: AlgMatrix) -> dict:
 
 
 def matrix_from_obj(obj) -> AlgMatrix:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = _integer(obj["rows"]), _integer(obj["cols"])
     flat = []
     for entry in obj["entries"]:
         flat.append(crossed_from_obj(entry) if isinstance(entry, dict)

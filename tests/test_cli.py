@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from crossrank import serialize
+from crossrank import cli, serialize
 from crossrank.algebra import CrossedElement, GroupSpec
-from crossrank.cli import main
+from crossrank.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -186,6 +186,32 @@ def _string_epsilon(payload):
     payload["epsilon"] = "Infinity"
 
 
+def _fractional_winding(payload):
+    # truncated, 3.5 would read as the true winding 3
+    assert payload["winding"] == 3
+    payload["winding"] = 3.5
+
+
+def _string_winding(payload):
+    payload["winding"] = "3"
+
+
+def _fractional_samples(payload):
+    assert payload["samples"] == 1024
+    payload["samples"] = 1024.7
+
+
+def _boolean_trials(payload):
+    # bool is a subclass of int, so a bare isinstance check accepts it
+    payload["trials"] = True
+
+
+def _float_order(payload):
+    # integral, but a float is not a JSON integer
+    assert payload["order"] == 4
+    payload["order"] = 4.0
+
+
 @pytest.mark.parametrize("source, tamper, code", [
     pytest.param(_bezout_source, _nudge_cofactor, 2, id="nudged-cofactor"),
     pytest.param(_bezout_source, _zero_cofactors, 2, id="zero-cofactors"),
@@ -204,6 +230,11 @@ def _string_epsilon(payload):
     pytest.param(_bezout_source, _overflow_cofactor, 1, id="overflow-cofactor"),
     pytest.param(_bezout_source, _huge_int_cofactor, 1, id="huge-int-cofactor"),
     pytest.param(_bezout_source, _string_epsilon, 1, id="string-epsilon"),
+    pytest.param(_winding_source, _fractional_winding, 1, id="fractional-winding"),
+    pytest.param(_winding_source, _string_winding, 1, id="string-winding"),
+    pytest.param(_winding_source, _fractional_samples, 1, id="fractional-samples"),
+    pytest.param(_winding_source, _boolean_trials, 1, id="boolean-trials"),
+    pytest.param(_conjugation_source, _float_order, 1, id="float-order"),
     pytest.param(_bezout_source, _overflowed_modulus_input, 2, id="overflowed-modulus-input",
                  marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
 ])
@@ -323,6 +354,51 @@ def test_usage_errors_are_malformed_input(argv, capsys):
     err = capsys.readouterr().err
     assert "malformed input" in err
     assert "Traceback" not in err
+
+
+@pytest.fixture
+def fresh_parser():
+    """A parser built by the test's own first ``main`` call."""
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_parser_constructed_once_per_process(fresh_parser, monkeypatch):
+    built = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            # subparsers share the class; count only the top-level parser
+            if kwargs.get("prog") == "crossrank":
+                built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    for _ in range(3):
+        assert main(["verify", str(DATA / "winding.json")]) == 0
+    assert len(built) == 1
+
+
+def test_repeated_calls_share_no_state(fresh_parser, tmp_path):
+    argv = ["random", "--seed", "9", "--n", "2"]
+    assert main([*argv, "--out", str(tmp_path / "first")]) == 0
+    assert main([*argv, "--degree-cap", "0", "--out", str(tmp_path / "cap0")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "again")]) == 0
+    for tag in ("x", "y"):
+        first = (tmp_path / f"first-{tag}.json").read_bytes()
+        assert (tmp_path / f"cap0-{tag}.json").read_bytes() != first
+        assert (tmp_path / f"again-{tag}.json").read_bytes() == first
+
+
+def test_usage_error_leaves_parser_usable(fresh_parser, capsys):
+    assert main(["random", "--n", "abc", "--out", "x"]) == 1
+    assert main(["verify", str(DATA / "winding.json")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_missing_file_is_malformed(tmp_path):
