@@ -1,20 +1,19 @@
 """Constructive density of left-invertible tall matrices, and tuple lifting
 through the expectation picture of the crossed product.
 
-``left_invertible_lift`` is McCoy's theorem made constructive: over the
-polynomials (a principal ideal domain) a tall ``r x c`` matrix ``X`` is
-left-invertible exactly when its ``c x c`` minors generate the unit ideal
-(W. C. Brown, *Matrices over Commutative Rings*, 1993).  A row ``d`` with
-``sum_I d_I det X_I = 1`` gives the left inverse
-``Z = sum_I d_I adj(X_I) E_I``, ``E_I`` selecting the rows in ``I``, and
-``Z X = I`` holds exactly.  Minors and adjugates are evaluated on an FFT
-grid of the unit circle and interpolated back, so the cost is ``C(r, c)``
-small determinants per grid point; when the minors of the input have a
-common zero, random-phase constants nudge every entry.  A single column is
-the ``r x 1`` case: its maximal minors are its entries, its adjugate is
-``[1]`` and its left inverse is a Bezout row.  ``disk_column_oracle``
-packages that case as the base step of the disk-algebra model (pairs are
-dense among generating pairs).
+``left_invertible_lift`` makes McCoy's theorem constructive: over the
+polynomials a tall ``r x c`` matrix ``X`` is left-invertible exactly when
+its ``c x c`` minors generate the unit ideal (W. C. Brown, *Matrices over
+Commutative Rings*, 1993).  The left inverse is not built from the minors:
+``_left_inverse`` solves ``Z X = I`` directly for the minimum-norm ``Z``
+whose entries have degree at most ``c * deg X``, one least-squares system
+in coefficient space with ``c`` right-hand sides.  For ``r >= c + 1`` that
+is the first degree with more unknowns than equations; it is not a proven
+bound, so every solve passes the residual gate, and an input that misses it
+(its minors share a zero, or nearly so) is nudged by random-phase constants
+and solved again.  A single column is the ``r x 1`` case, whose left inverse
+is a Bezout row; ``disk_column_oracle`` packages that case as the base step
+of the disk-algebra model (pairs are dense among generating pairs).
 
 ``lift_generating_tuple`` feeds the lift with the expectation matrix of a
 tuple of crossed-product elements, producing a nearby generating tuple
@@ -23,7 +22,6 @@ together with a witness row over the subalgebra.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -31,10 +29,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import AlgMatrix, CrossedElement, expectation
-from .errors import CoprimalityFailure, OracleFailure, PerturbationExhausted
-from .poly import Poly, convolution_matrix, grid_coeffs, grid_values
+from .errors import OracleFailure, PerturbationExhausted
+from .poly import Poly, convolution_matrix
 
-ORACLE_RESIDUAL_TOL = 1e-8
 ORACLE_MAX_ATTEMPTS = 64
 LEVEL_ACCEPT_RESIDUAL = 1e-7
 
@@ -49,38 +46,6 @@ class LiftResult:
     left_inverse: AlgMatrix
     distance: float
     residual: float
-
-
-def _bezout_row(entries: Sequence[Poly]) -> list[Poly]:
-    """Minimum-norm row ``d`` with ``sum(d_i * entries_i) = 1``.
-
-    One least-squares solve in coefficient space, each ``d_i`` of degree at
-    most ``max(deg entries)``, then a few iterative-refinement rounds that
-    push the identity residual to round-off: the left inverse built on this
-    row multiplies it by the adjugate norms, so slack here is not
-    affordable.  A row that still misses ``ORACLE_RESIDUAL_TOL`` (the
-    entries have a common zero, or nearly so) raises ``CoprimalityFailure``.
-    """
-    top = max(e.degree for e in entries)
-    cap = max(top, 1) + 1
-    eq_count = cap + top + 1
-    system = np.hstack([convolution_matrix(e, cap, eq_count) for e in entries])
-    rhs = np.zeros(eq_count, dtype=complex)
-    rhs[0] = 1.0
-    sol = np.linalg.lstsq(system, rhs, rcond=None)[0]
-    for _ in range(4):
-        gap = rhs - system @ sol
-        if float(np.max(np.abs(gap))) < 1e-14:
-            break
-        sol = sol + np.linalg.lstsq(system, gap, rcond=None)[0]
-    row = [Poly(part) for part in sol.reshape(-1, cap)]
-    residual = (functools.reduce(operator.add, (d * e for d, e in zip(row, entries)))
-                - Poly.one()).wiener_norm()
-    if not residual <= ORACLE_RESIDUAL_TOL:
-        raise CoprimalityFailure(
-            f"Bezout row residual {residual:.3e} exceeds {ORACLE_RESIDUAL_TOL:.0e}",
-            residual=residual)
-    return row
 
 
 def disk_column_oracle(column: Sequence[Poly], eps: float,
@@ -109,9 +74,10 @@ def left_invertible_lift(mat: AlgMatrix, eps: float, oracle: ColumnOracle,
                          rng: np.random.Generator) -> LiftResult:
     """Approximate a tall polynomial matrix by a left-invertible one within ``eps``.
 
-    Every width runs ``_perturbed_lift``; a single column goes through
-    ``oracle`` (``disk_column_oracle`` is that lift at width 1) and passes
-    the same gate.  A lift is returned only when
+    Every width runs ``_perturbed_lift``, which solves ``Z X = I`` directly
+    for the minimum-norm ``Z`` of degree at most ``c * deg X``; a single
+    column goes through ``oracle`` (``disk_column_oracle`` is that lift at
+    width 1) and passes the same gate.  A lift is returned only when
     ``|Z X - I| <= LEVEL_ACCEPT_RESIDUAL`` and the distance is below ``eps``;
     otherwise ``OracleFailure`` is raised with ``level`` the width.
     """
@@ -134,12 +100,12 @@ def left_invertible_lift(mat: AlgMatrix, eps: float, oracle: ColumnOracle,
 
 
 def _perturbed_lift(mat: AlgMatrix, eps: float, rng: np.random.Generator) -> LiftResult:
-    """The determinantal lift of ``mat`` or of a nearby perturbation.
+    """The direct left inverse of ``mat`` or of a nearby perturbation.
 
     Attempt 0 uses the input itself, attempt ``t`` adds a random-phase
     constant of modulus ``eps * (1 - t/128) / (2 r c)`` to every entry, so
     the total shift stays below ``eps / 2``.  The first attempt whose
-    ``_determinantal_inverse`` passes ``_gated`` is returned; after
+    ``_left_inverse`` passes ``_gated`` is returned; after
     ``ORACLE_MAX_ATTEMPTS`` perturbations ``OracleFailure(level=c)`` is raised.
     """
     rows, cols = mat.rows, mat.cols
@@ -151,11 +117,7 @@ def _perturbed_lift(mat: AlgMatrix, eps: float, rng: np.random.Generator) -> Lif
             mag = eps * (1.0 - t / 128.0) / (2.0 * rows * cols)
             cand = [[e + Poly.constant(mag * np.exp(2j * np.pi * rng.uniform()))
                      for e in row] for row in source]
-        try:
-            left_inverse = _determinantal_inverse(cand)
-        except CoprimalityFailure:
-            continue
-        lift = _gated(AlgMatrix(cand), left_inverse, mat, eps)
+        lift = _gated(AlgMatrix(cand), _left_inverse(cand), mat, eps)
         if lift is not None:
             return lift
     raise OracleFailure(
@@ -174,46 +136,35 @@ def _gated(output: AlgMatrix, left_inverse: AlgMatrix, mat: AlgMatrix,
     return None
 
 
-def _determinantal_inverse(entries: list[list[Poly]]) -> AlgMatrix:
-    """``Z = sum_I d_I adj(X_I) E_I`` with ``sum_I d_I det X_I = 1``.
+def _left_inverse(entries: list[list[Poly]]) -> AlgMatrix:
+    """The minimum-norm ``Z`` with ``Z X = I``, each entry of degree at most
+    ``c * deg X``.
 
-    The maximal minors (degree at most ``c * deg X``) are taken with one
-    batched ``det`` on a grid of ``c * deg X + 1`` points and interpolated;
-    ``_bezout_row`` finds ``d`` for the nonzero ones, or raises
-    ``CoprimalityFailure``.  ``Z`` has degree at most
-    ``deg d + (c - 1) deg X`` and is accumulated from signed
-    ``(c - 1)``-minors, with no division, so a singular ``X_I`` at a grid
-    point needs no special case; its grid also holds ``X`` at ``c = 1``.
+    Block ``(j, k)`` of the system maps the coefficients of ``Z[i][k]`` to
+    their product with ``X[k][j]``; one ``lstsq`` call takes the ``c``
+    right-hand sides ``e_(i, 0)``, then a few iterative-refinement rounds
+    push the identity residual to round-off.  For ``r >= c + 1``,
+    ``c * deg X`` is the first degree with more unknowns,
+    ``r (c deg X + 1)``, than equations, ``c ((c + 1) deg X + 1)``; one
+    degree less misses by far on random inputs.  It is not a proven bound,
+    so nothing is raised here: a ``Z`` that misses is rejected by
+    ``_gated``.
     """
     rows, cols = len(entries), len(entries[0])
-    flat = [e for row in entries for e in row]
-    degree = max(max(e.degree for e in flat), 0)
-
-    def on_grid(size: int) -> np.ndarray:
-        return grid_values(flat, size).T.reshape(size, rows, cols)
-
-    subsets = np.array(list(itertools.combinations(range(rows), cols)))
-    size = cols * degree + 1
-    minors = [Poly(m) for m in grid_coeffs(np.linalg.det(on_grid(size)[:, subsets]).T)]
-    live = [i for i, m in enumerate(minors) if not m.is_zero]
-    if not live:
-        raise CoprimalityFailure("every maximal minor vanishes")
-    row = _bezout_row([minors[i] for i in live])
-    subsets = subsets[live]
-
-    size = max(max(d.degree for d in row), 0) + max(cols - 1, 1) * degree + 1
-    # keep[k] lists the indices other than k, in order
-    keep = np.array([[i for i in range(cols) if i != k] for k in range(cols)], dtype=int)
-    # cofactor (k, j) of X_I: X_I without its row k and column j
-    sub = on_grid(size)[:, subsets[:, keep][:, :, None, :, None],
-                        keep[None, None, :, None, :]]
-    signs = (-1.0) ** np.add.outer(np.arange(cols), np.arange(cols))
-    cofactors = signs * np.linalg.det(sub)
-    # select[I, k, i] = 1 when row k of X_I is row i of X
-    select = (subsets[:, :, None] == np.arange(rows)).astype(float)
-    weights = grid_values(row, size).T
-    values = np.einsum("nI,nIkj,Iki->jin", weights, cofactors, select)
-    return AlgMatrix([[Poly(c) for c in z_row] for z_row in grid_coeffs(values)])
+    degree = max(max(e.degree for row in entries for e in row), 0)
+    cap = cols * max(degree, 1) + 1
+    eq_count = cap + degree
+    system = np.block([[convolution_matrix(entries[k][j], cap, eq_count)
+                        for k in range(rows)] for j in range(cols)])
+    rhs = np.zeros((cols * eq_count, cols), dtype=complex)
+    rhs[np.arange(cols) * eq_count, np.arange(cols)] = 1.0
+    sol = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    for _ in range(4):
+        gap = rhs - system @ sol
+        if float(np.max(np.abs(gap))) < 1e-14:
+            break
+        sol = sol + np.linalg.lstsq(system, gap, rcond=None)[0]
+    return AlgMatrix([[Poly(part) for part in z_row.reshape(rows, cap)] for z_row in sol.T])
 
 
 @dataclass(frozen=True)

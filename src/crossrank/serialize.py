@@ -11,7 +11,9 @@ overflows (``1e999``) and an integer beyond the float range are malformed
 input, as is a string where a number belongs.  An integer field (a group
 order or selector, a winding, a sample or trial count, a matrix shape)
 must hold a JSON integer: a boolean, a string or any float, ``4.0``
-included, is malformed input.  ``verify_obj`` dispatches a certificate
+included, is malformed input.  A certificate's top-level ``n`` and ``m``
+must name the group of its elements, and its ``seed`` is ``null`` or an
+integer.  ``verify_obj`` dispatches a certificate
 payload to its verifier by the ``"type"`` tag the writers below emit.
 """
 from __future__ import annotations
@@ -137,9 +139,20 @@ def bezout_to_obj(cert: BezoutCertificate) -> dict:
     }
 
 
+def _checked_seed(obj, spec: GroupSpec) -> int | None:
+    """A certificate's ``seed``, ``None`` or an integer, once its top-level
+    ``n`` and ``m`` are checked against ``spec``, its elements' group."""
+    if GroupSpec(_integer(obj["n"]), _integer(obj["m"])) != spec:
+        raise ValueError(f"top-level n and m disagree with the elements' group "
+                         f"of order {spec.n}")
+    seed = obj.get("seed")
+    return None if seed is None else _integer(seed)
+
+
 def bezout_from_obj(obj) -> BezoutCertificate:
+    x = crossed_from_obj(obj["inputs"]["x"])
     return BezoutCertificate(
-        x=crossed_from_obj(obj["inputs"]["x"]),
+        x=x,
         y=crossed_from_obj(obj["inputs"]["y"]),
         a=crossed_from_obj(obj["approximants"]["a"]),
         b=crossed_from_obj(obj["approximants"]["b"]),
@@ -149,7 +162,7 @@ def bezout_from_obj(obj) -> BezoutCertificate:
         residual=_real(obj["residual"]),
         distance_x=_real(obj["distance_x"]),
         distance_y=_real(obj["distance_y"]),
-        seed=obj.get("seed"),
+        seed=_checked_seed(obj, x.spec),
     )
 
 
@@ -171,8 +184,9 @@ def winding_to_obj(obs: WindingObstruction) -> dict:
 
 
 def winding_from_obj(obj) -> WindingObstruction:
+    element = crossed_from_obj(obj["element"])
     return WindingObstruction(
-        element=crossed_from_obj(obj["element"]),
+        element=element,
         circle_min=_real(obj["circle_min"]),
         winding=_integer(obj["winding"]),
         samples=_integer(obj["samples"]),
@@ -181,7 +195,7 @@ def winding_from_obj(obj) -> WindingObstruction:
         trial_windings=tuple(_integer(w) for w in obj["trial_windings"]),
         trial_circle_min=(None if obj.get("trial_circle_min") is None
                           else _real(obj["trial_circle_min"])),
-        seed=obj.get("seed"),
+        seed=_checked_seed(obj, element.spec),
     )
 
 

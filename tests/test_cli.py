@@ -212,6 +212,34 @@ def _float_order(payload):
     payload["order"] = 4.0
 
 
+def _string_order(payload):
+    payload["n"] = "two"
+
+
+def _boolean_selector(payload):
+    payload["m"] = True
+
+
+def _contradicting_order(payload):
+    # an integer, but the elements are of order 2
+    assert payload["n"] == 2
+    payload["n"] = 3
+
+
+def _fractional_order(payload):
+    payload["n"] = 3.5
+
+
+def _string_seed(payload):
+    payload["seed"] = "abc"
+
+
+def _contradicting_selector(payload):
+    # 5 mod 3 = 2 is primitive, but the element acts by m = 1
+    assert payload["m"] == 1
+    payload["m"] = 5
+
+
 @pytest.mark.parametrize("source, tamper, code", [
     pytest.param(_bezout_source, _nudge_cofactor, 2, id="nudged-cofactor"),
     pytest.param(_bezout_source, _zero_cofactors, 2, id="zero-cofactors"),
@@ -235,6 +263,13 @@ def _float_order(payload):
     pytest.param(_winding_source, _fractional_samples, 1, id="fractional-samples"),
     pytest.param(_winding_source, _boolean_trials, 1, id="boolean-trials"),
     pytest.param(_conjugation_source, _float_order, 1, id="float-order"),
+    pytest.param(_bezout_source, _string_order, 1, id="bezout-string-order"),
+    pytest.param(_bezout_source, _boolean_selector, 1, id="bezout-boolean-selector"),
+    pytest.param(_bezout_source, _contradicting_order, 1, id="bezout-contradicting-order"),
+    pytest.param(_winding_source, _fractional_order, 1, id="winding-fractional-order"),
+    pytest.param(_winding_source, _string_seed, 1, id="winding-string-seed"),
+    pytest.param(_winding_source, _contradicting_selector, 1,
+                 id="winding-contradicting-selector"),
     pytest.param(_bezout_source, _overflowed_modulus_input, 2, id="overflowed-modulus-input",
                  marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
 ])

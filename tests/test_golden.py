@@ -1,9 +1,13 @@
 """Byte identity with stored outputs: a speed-up must not move a single byte.
 
 Each test regenerates one file under ``data/golden-*`` from the same seed
-and compares bytes.  The two lift files hold the lifts by the maximal
-minors (the left inverse ``sum_I d_I adj(X_I) E_I``); both inputs lift
-unperturbed, at distance 0.  ``golden-cert-upper-n3.json`` holds the Bezout
+and compares bytes.  The two lift files hold the direct left inverses,
+the minimum-norm ``Z`` with ``Z X = I`` and entries of degree at most
+``c * deg X``; both inputs lift unperturbed, at distance 0.  They were
+re-written when that solve replaced the left inverse from the maximal
+minors, of degree ``(2c - 1) deg X``: ``output``, ``input_sha256``,
+``distance`` and ``seed`` kept their values, and only ``left_inverse`` and
+``residual`` moved.  ``golden-cert-upper-n3.json`` holds the Bezout
 cofactors from the reduced norm; the elimination cascade's certificate for
 the same command is kept as ``data/bezout-cascade-n3.json``, which
 ``tests/test_cli.py`` still verifies.  All three files were re-written in

@@ -10,7 +10,7 @@ import pytest
 from crossrank import liftrank
 from crossrank.algebra import AlgMatrix, CrossedElement, GroupSpec
 from crossrank.elimination import bezout_certificate
-from crossrank.errors import CoprimalityFailure, OracleFailure, PerturbationExhausted
+from crossrank.errors import OracleFailure, PerturbationExhausted
 from crossrank.liftrank import (disk_column_oracle, left_invertible_lift,
                                 lift_generating_tuple)
 from crossrank.poly import Poly, roots
@@ -51,8 +51,9 @@ def test_oracle_folds_triple():
 
 
 def test_least_squares_row_passes():
+    # the r x 1 case of the direct solve: Z is a row d with sum(d_i c_i) = 1
     entries = [from_roots([0.5, -0.25j]), from_roots([0.1, 2.0])]
-    row = liftrank._bezout_row(entries)
+    row = liftrank._left_inverse([[e] for e in entries]).to_lists()[0]
     combo = functools.reduce(operator.add, (d * c for d, c in zip(row, entries)))
     assert (combo - Poly.one()).wiener_norm() < 1e-8
     rng = seeded_generator(5100)
@@ -60,15 +61,16 @@ def test_least_squares_row_passes():
     assert left_invertible_lift(mat, 0.1, disk_column_oracle, rng).residual < 1e-6
 
 
-def test_bezout_row_raises_when_least_squares_row_misses(monkeypatch):
-    entries = [from_roots([0.5, -0.25j]), from_roots([0.1, 2.0])]
-
+def test_lift_raises_when_least_squares_solve_misses(monkeypatch):
     def missing_lstsq(a, b, rcond=None):
-        return np.zeros(a.shape[1], dtype=complex), None, 0, None
+        return np.zeros((a.shape[1],) + b.shape[1:], dtype=complex), None, 0, None
 
     monkeypatch.setattr(np.linalg, "lstsq", missing_lstsq)
-    with pytest.raises(CoprimalityFailure):
-        liftrank._bezout_row(entries)
+    rng = seeded_generator(5100)
+    mat = AlgMatrix([[random_poly(rng, 3, 0.5) for _ in range(2)] for _ in range(3)])
+    with pytest.raises(OracleFailure) as info:
+        left_invertible_lift(mat, 0.1, disk_column_oracle, rng)
+    assert info.value.level == 2
 
 
 def test_bezout_certificate_solves_each_root_set_once(monkeypatch):
@@ -169,10 +171,10 @@ def test_lift_propagates_oracle_failure_with_level():
 
 
 def test_lift_exhaustion_raises_with_width(monkeypatch):
-    def balking(entries):
-        raise CoprimalityFailure("stub")
+    def zero(entries):
+        return AlgMatrix([[Poly.zero()] * len(entries)] * len(entries[0]))
 
-    monkeypatch.setattr(liftrank, "_bezout_row", balking)
+    monkeypatch.setattr(liftrank, "_left_inverse", zero)
     rng = seeded_generator(7)
     mat = AlgMatrix([[random_poly(rng, 2) for _ in range(2)] for _ in range(3)])
     with pytest.raises(OracleFailure) as info:
@@ -181,13 +183,14 @@ def test_lift_exhaustion_raises_with_width(monkeypatch):
 
 
 def test_lift_raises_when_residual_misses_gate(monkeypatch):
-    bezout_row = liftrank._bezout_row
+    left_inverse = liftrank._left_inverse
 
     def off_by_a_little(entries):
-        row = bezout_row(entries)
-        return [d * Poly.constant(1.0 + 1e-6) for d in row]
+        scale = Poly.constant(1.0 + 1e-6)
+        return AlgMatrix([[z * scale for z in row]
+                          for row in left_inverse(entries).to_lists()])
 
-    monkeypatch.setattr(liftrank, "_bezout_row", off_by_a_little)
+    monkeypatch.setattr(liftrank, "_left_inverse", off_by_a_little)
     rng = seeded_generator(5100)
     mat = AlgMatrix([[random_poly(rng, 3, 0.5) for _ in range(2)] for _ in range(3)])
     with pytest.raises(OracleFailure) as info:
@@ -260,6 +263,18 @@ def test_tuple_lift_high_order(n):
         result = lift_generating_tuple(b, 0.1, rng)
         assert result.residual < 1e-6
         assert max(result.distances) < 0.1
+
+
+def test_tuple_lift_order_fourteen():
+    # order 14 is where a left inverse built from the maximal minors missed
+    # LEVEL_ACCEPT_RESIDUAL on every perturbation of this input
+    rng = seeded_generator(14001)
+    spec = GroupSpec(14)
+    b = [random_crossed(rng, spec, 3) for _ in range(15)]
+    result = lift_generating_tuple(b, 0.1, rng)
+    assert result.residual < 1e-6
+    assert result.lift.residual <= liftrank.LEVEL_ACCEPT_RESIDUAL
+    assert max(result.distances) < 0.1
 
 
 def test_tuple_lift_coordinate_functions():
