@@ -15,22 +15,24 @@ and solved again.  A single column is the ``r x 1`` case, whose left inverse
 is a Bezout row; ``disk_column_oracle`` packages that case as the base step
 of the disk-algebra model (pairs are dense among generating pairs).
 
+The gate measures ``|Z X - I|``, the summed Wiener norm of the entries, on
+zero-padded coefficient arrays that are never trimmed, so the round-off of
+every coefficient counts, the diagonal's included.
+
 ``lift_generating_tuple`` feeds the lift with the expectation matrix of a
 tuple of crossed-product elements, producing a nearby generating tuple
 together with a witness row over the subalgebra.
 """
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import AlgMatrix, CrossedElement, expectation
+from .algebra import AlgMatrix, CrossedElement
 from .errors import OracleFailure, PerturbationExhausted
-from .poly import Poly, convolution_matrix
+from .poly import Poly, _moduli, convolution_matrix
 
 ORACLE_MAX_ATTEMPTS = 64
 LEVEL_ACCEPT_RESIDUAL = 1e-7
@@ -127,13 +129,46 @@ def _perturbed_lift(mat: AlgMatrix, eps: float, rng: np.random.Generator) -> Lif
 
 def _gated(output: AlgMatrix, left_inverse: AlgMatrix, mat: AlgMatrix,
            eps: float) -> LiftResult | None:
-    """The lift, if ``|Z X - I| <= LEVEL_ACCEPT_RESIDUAL`` and ``|X - M| < eps``."""
-    identity = AlgMatrix.identity(output.cols, Poly.one(), Poly.zero())
-    residual = (left_inverse * output - identity).norm_l1()
-    distance = (output - mat).norm_l1()
+    """The lift, if ``|Z X - I| <= LEVEL_ACCEPT_RESIDUAL`` and ``|X - M| < eps``.
+
+    ``Z X - I`` is summed from ``np.convolve`` products into one zero-padded
+    ``(c, c, L)`` array and never trimmed, so the residual is the true
+    ``|Z X - I|``: no round-off below a trim threshold is dropped.  Both
+    norms add the entry norms in row-major order, as ``AlgMatrix.norm_l1``
+    does, so an unperturbed attempt is at distance 0 exactly.
+    """
+    rows, cols = output.rows, output.cols
+    xs, ms = _padded(output, mat)
+    # Z keeps its own width: padding both factors to one width changes how
+    # np.convolve rounds, and a residual at round-off is nothing but rounding
+    zs = _padded(left_inverse)[0]
+    gap = np.array([[sum(np.convolve(zs[i, k], xs[k, j]) for k in range(rows))
+                     for j in range(cols)] for i in range(cols)])
+    gap[np.arange(cols), np.arange(cols), 0] -= 1.0
+    residual = _summed_norm(gap)
+    distance = _summed_norm(xs - ms)
     if residual <= LEVEL_ACCEPT_RESIDUAL and distance < eps:
-        return LiftResult(output, left_inverse, float(distance), float(residual))
+        return LiftResult(output, left_inverse, distance, residual)
     return None
+
+
+def _padded(*mats: AlgMatrix) -> list[np.ndarray]:
+    """Each matrix's coefficients as an ``(r, c, width)`` array, zero-padded
+    to the longest entry among them all (at least one coefficient)."""
+    width = max(1, *(e.coeffs.size for m in mats for row in m.entries for e in row))
+    arrays = []
+    for m in mats:
+        out = np.zeros((m.rows, m.cols, width), dtype=complex)
+        for i, row in enumerate(m.entries):
+            for j, e in enumerate(row):
+                out[i, j, :e.coeffs.size] = e.coeffs
+        arrays.append(out)
+    return arrays
+
+
+def _summed_norm(coeffs: np.ndarray) -> float:
+    """Sum of the entry norms of a ``(r, c, width)`` coefficient array."""
+    return float(sum(_moduli(coeffs).sum(axis=-1).ravel().tolist()))
 
 
 def _left_inverse(entries: list[list[Poly]]) -> AlgMatrix:
@@ -183,9 +218,12 @@ def lift_generating_tuple(elements: Sequence[CrossedElement], eps: float,
                           rng: np.random.Generator) -> TupleLift:
     """Lift a tuple of ``n + 1`` crossed-product elements to a generating one.
 
-    Writes each element through the quasi-basis as ``sum_k E(b_j u_k) v_k``,
-    lifts the expectation matrix ``[E(b_j u_k)]`` to a left-invertible one
-    over the polynomial subalgebra, and pushes the result back.  The
+    Writes each element through the quasi-basis ``u_k = delta^k``,
+    ``v_k = delta^{-k}`` as ``sum_k E(b_j u_k) v_k``, lifts the expectation
+    matrix ``[E(b_j u_k)]`` to a left-invertible one over the polynomial
+    subalgebra, and pushes the result back.  Both steps are component
+    moves, not products: ``E(b delta^k) = b_{-k}``, the component of ``b``
+    at ``-k``, and ``x delta^0 v_k`` is ``x`` placed at component ``-k``.  The
     witness is the identity-component row of the left inverse: only that
     column of ``(E(u_1) ... E(u_n))`` survives, and the product with the
     outputs telescopes to ``delta^0``.  The ``n + 1`` length is the
@@ -205,26 +243,18 @@ def lift_generating_tuple(elements: Sequence[CrossedElement], eps: float,
     if eps <= 0:
         raise ValueError("accuracy budget must be positive")
 
-    u = [CrossedElement.monomial(spec, k) for k in range(n)]
-    v = [CrossedElement.monomial(spec, (n - k) % n) for k in range(n)]
-
-    a_rows = [[expectation(b * u[k]).component(0) for k in range(n)]
-              for b in elements]
-    v_norm = float(sum(vk.l1_norm() for vk in v))
-
-    lift = left_invertible_lift(AlgMatrix(a_rows), eps / v_norm,
-                                disk_column_oracle, rng)
+    # E(b delta^k) is component -k of b, and |v_k| = |delta^{-k}| = 1
+    a_rows = [[b.component(-k) for k in range(n)] for b in elements]
+    lift = left_invertible_lift(AlgMatrix(a_rows), eps / n, disk_column_oracle, rng)
     x = lift.output.to_lists()
     z = lift.left_inverse.to_lists()
 
-    outputs = []
-    for j in range(n + 1):
-        terms = (CrossedElement.monomial(spec, 0, x[j][k]) * v[k] for k in range(n))
-        outputs.append(functools.reduce(operator.add, terms))
+    # sum_k x_jk delta^0 v_k puts x_jk in component -k
+    outputs = tuple(CrossedElement(spec, (x_row[-g % n] for g in range(n))) for x_row in x)
     witness = tuple(CrossedElement.monomial(spec, 0, z[0][j]) for j in range(n + 1))
 
-    combo = functools.reduce(operator.add,
-                             (w * y for w, y in zip(witness, outputs)))
+    products = [w * y for w, y in zip(witness, outputs)]
+    combo = sum(products[1:], products[0])
     residual = (combo - CrossedElement.unit(spec)).l1_norm()
     distances = tuple((y - b).l1_norm() for y, b in zip(outputs, elements))
-    return TupleLift(tuple(outputs), witness, float(residual), distances, lift)
+    return TupleLift(outputs, witness, float(residual), distances, lift)

@@ -7,8 +7,8 @@ import operator
 import numpy as np
 import pytest
 
-from crossrank import liftrank
-from crossrank.algebra import AlgMatrix, CrossedElement, GroupSpec
+from crossrank import algebra, liftrank
+from crossrank.algebra import AlgMatrix, CrossedElement, GroupSpec, expectation
 from crossrank.elimination import bezout_certificate
 from crossrank.errors import OracleFailure, PerturbationExhausted
 from crossrank.liftrank import (disk_column_oracle, left_invertible_lift,
@@ -97,9 +97,22 @@ def test_oracle_needs_width_two():
 
 
 def residual_of(lift) -> float:
-    one, zero = Poly.one(), Poly.zero()
-    ident = AlgMatrix.identity(lift.output.cols, one, zero)
-    return (lift.left_inverse * lift.output - ident).norm_l1()
+    """``|Z X - I|`` from plain ``np.convolve`` products, nothing trimmed."""
+    x, z = lift.output.to_lists(), lift.left_inverse.to_lists()
+    total = 0.0
+    for i, z_row in enumerate(z):
+        for j in range(len(x[0])):
+            entry = np.zeros(1, dtype=complex)
+            for z_ik, x_row in zip(z_row, x):
+                if z_ik.is_zero or x_row[j].is_zero:
+                    continue
+                prod = np.convolve(z_ik.coeffs, x_row[j].coeffs)
+                entry = np.pad(entry, (0, max(0, prod.size - entry.size)))
+                entry[:prod.size] += prod
+            if i == j:
+                entry[0] -= 1.0
+            total += float(np.sum(np.abs(entry)))
+    return total
 
 
 def test_lift_base_case_delegates():
@@ -196,6 +209,17 @@ def test_lift_raises_when_residual_misses_gate(monkeypatch):
     with pytest.raises(OracleFailure) as info:
         left_invertible_lift(mat, 0.1, disk_column_oracle, rng)
     assert info.value.level == 2
+
+
+def test_gate_residual_is_untrimmed():
+    # the golden 3x2 input: trimming each Poly product at 1e-12 relative
+    # before subtracting I dropped the diagonal's round-off
+    rng = seeded_generator(5100)
+    mat = AlgMatrix([[random_poly(rng, 3, 0.5) for _ in range(2)] for _ in range(3)])
+    res = left_invertible_lift(mat, 0.1, disk_column_oracle, rng)
+    assert res.residual == pytest.approx(residual_of(res), rel=1e-12)
+    ident = AlgMatrix.identity(2, Poly.one(), Poly.zero())
+    assert (res.left_inverse * res.output - ident).norm_l1() < 0.7 * res.residual
 
 
 def test_lift_input_where_column_induction_failed():
@@ -306,3 +330,49 @@ def test_tuple_lift_length_contract():
     with pytest.raises(ValueError):
         lift_generating_tuple([CrossedElement.unit(spec)] * 3, 0.1,
                               seeded_generator(0))
+
+
+@pytest.mark.parametrize("spec", [GroupSpec(n) for n in range(2, 7)] + [GroupSpec(5, 2)],
+                         ids=lambda spec: f"n{spec.n}m{spec.m}")
+def test_tuple_lift_component_reads_match_convolutions(spec, monkeypatch):
+    n = spec.n
+    rng = seeded_generator(700 + 10 * n + spec.m)
+    b = [random_crossed(rng, spec, 3) for _ in range(n + 1)]
+    inputs = []
+    lift = liftrank.left_invertible_lift
+
+    def recording(mat, *args):
+        inputs.append(mat)
+        return lift(mat, *args)
+
+    monkeypatch.setattr(liftrank, "left_invertible_lift", recording)
+    result = lift_generating_tuple(b, 0.1, rng)
+    u = [CrossedElement.monomial(spec, k) for k in range(n)]
+    v = [CrossedElement.monomial(spec, -k % n) for k in range(n)]
+    # the expectation matrix [E(b_j u_k)] through the twisted convolution
+    for row, b_j in zip(inputs[0].to_lists(), b):
+        for entry, u_k in zip(row, u):
+            assert np.array_equal(entry.coeffs, expectation(b_j * u_k).component(0).coeffs)
+    # y_j = sum_k x_jk delta^0 v_k through the twisted convolution
+    for y, x_row in zip(result.outputs, result.lift.output.to_lists()):
+        pushed = functools.reduce(operator.add, (
+            CrossedElement.monomial(spec, 0, x_jk) * v_k for x_jk, v_k in zip(x_row, v)))
+        assert all(np.array_equal(p.coeffs, q.coeffs) for p, q in zip(y.comps, pushed.comps))
+
+
+def test_tuple_lift_convolves_only_the_witness_product(monkeypatch):
+    calls = []
+    convolve = algebra.convolve
+
+    def counting(x, y):
+        calls.append(1)
+        return convolve(x, y)
+
+    monkeypatch.setattr(algebra, "convolve", counting)
+    rng = seeded_generator(5450)
+    spec = GroupSpec(3)
+    b = [random_crossed(rng, spec, 3) for _ in range(4)]
+    result = lift_generating_tuple(b, 0.1, rng)
+    assert result.residual < 1e-6
+    # sum_j w_j y_j: one product per tuple entry, n + 1 in all
+    assert len(calls) == 4
