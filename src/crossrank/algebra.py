@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import GroupMismatch, VanishingDeterminant
-from .poly import CirclePath, Poly, grid_coeffs, grid_values, rotate
+from .poly import CirclePath, Poly, _moduli, grid_coeffs, grid_values, rotate
 
 DET_FLOOR = 1e-12
 NORM_SLACK = 1e-12
@@ -158,28 +158,77 @@ class CrossedElement:
         return f"CrossedElement(n={self.spec.n}, m={self.spec.m}, comps={list(self.comps)!r})"
 
 
+def _width(x: CrossedElement) -> int:
+    return max(1, *(c.coeffs.size for c in x.comps))
+
+
+def coefficient_array(x: CrossedElement, width: int) -> np.ndarray:
+    """The components of ``x`` as the rows of an ``(n, width)`` array, padded
+    with zeros; ``width`` must hold the longest component."""
+    out = np.zeros((x.spec.n, width), dtype=complex)
+    for row, c in zip(out, x.comps):
+        row[:c.coeffs.size] = c.coeffs
+    return out
+
+
+def summed_norm(coeffs: np.ndarray) -> float:
+    """Summed Wiener norm of the rows of an ``(n, L)`` coefficient array.
+
+    The moduli are added in ``CrossedElement.l1_norm``'s order, so an array
+    whose rows are a ``Poly``'s coefficients followed by zeros reads the
+    same bits as the element.
+    """
+    return float(sum(sum(row) for row in _moduli(coeffs).tolist()))
+
+
+@functools.lru_cache(maxsize=64)
+def _product_plan(spec: GroupSpec, lx: int, ly: int) -> tuple[np.ndarray, ...]:
+    """Index and phase arrays of ``twisted_product`` for factors whose
+    longest components have ``lx`` and ``ly`` coefficients.
+
+    ``windows[l, j]`` is the index of coefficient ``l - (ly - 1 - j)`` in a
+    row of ``x``, or of the zero slot ``lx`` where that falls outside the
+    row; row ``(h, g)`` of ``y[order]`` is ``y_{g-h}``; ``phases[h, 0, j]``
+    is the factor ``alpha^h`` puts on coefficient ``ly - 1 - j``.
+    """
+    src = np.arange(lx + ly - 1)[:, None] + np.arange(ly)[None, :] - (ly - 1)
+    windows = np.where((src >= 0) & (src < lx), src, lx)
+    h = np.arange(spec.n)
+    order = (h[None, :] - h[:, None]) % spec.n
+    # alpha^h scales coefficient k by omega**(h*k), as in GroupSpec.twist
+    phases = np.array([(spec.omega ** t) ** np.arange(ly) for t in range(spec.n)])
+    phases = phases[:, None, ::-1].copy()
+    for arr in (windows, order, phases):
+        arr.setflags(write=False)
+    return windows, order, phases
+
+
+def twisted_product(x: CrossedElement, y: CrossedElement) -> np.ndarray:
+    """Coefficients of ``x * y`` as an untrimmed ``(n, Lx + Ly - 1)`` array,
+    ``Lx`` and ``Ly`` being the longest component lengths (at least 1).
+
+    One ``einsum`` sums the direct products ``x_h[l - k] * alpha^h(y_{g-h})[k]``
+    over ``h`` and ``k``: each row of ``x`` is laid out as Toeplitz windows
+    of width ``Ly``, against the twisted rows of ``y`` in reverse order.
+    Nothing is trimmed, so round-off below ``TRIM_RELATIVE`` survives.
+    """
+    x._require_same_spec(y)
+    lx, ly = _width(x), _width(y)
+    windows, order, phases = _product_plan(x.spec, lx, ly)
+    # column lx of the padded x is the zero slot
+    toeplitz = coefficient_array(x, lx + 1)[:, windows]
+    twisted = coefficient_array(y, ly)[order][..., ::-1] * phases
+    return np.einsum("hlj,hgj->gl", toeplitz, twisted)
+
+
 def convolve(x: CrossedElement, y: CrossedElement) -> CrossedElement:
-    """Twisted convolution ``(x*y)_g = sum_h x_h alpha^h(y_{g-h})``.
+    """Twisted convolution ``(x*y)_g = sum_h x_h alpha^h(y_{g-h})``: the rows
+    of ``twisted_product`` as polynomials.
 
     Associative with unit ``delta^0``, and submultiplicative for the
     summed norm.
     """
-    x._require_same_spec(y)
-    spec = x.spec
-    n = spec.n
-    width = max(c.coeffs.size for c in y.comps)
-    acc = np.zeros((n, max(c.coeffs.size for c in x.comps) + width), dtype=complex)
-    for h, fh in enumerate(x.comps):
-        if fh.is_zero:
-            continue
-        # alpha^h scales coefficient k by omega**(h*k), as in GroupSpec.twist
-        phases = (spec.omega ** h) ** np.arange(width)
-        for g in range(n):
-            yg = y.comps[(g - h) % n].coeffs
-            if yg.size:
-                prod = np.convolve(fh.coeffs, yg * phases[:yg.size])
-                acc[g, :prod.size] += prod
-    return CrossedElement(spec, (Poly(row) for row in acc))
+    return CrossedElement(x.spec, map(Poly, twisted_product(x, y)))
 
 
 def expectation(x: CrossedElement) -> CrossedElement:

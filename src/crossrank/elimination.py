@@ -23,7 +23,10 @@ Two certificate types live here:
 
 * ``BezoutCertificate`` — cofactors exhibiting ``delta^0`` in the left
   ideal generated by a perturbed pair, the witness that pairs generate
-  densely (stable rank at most two), built from the reduced norms.
+  densely (stable rank at most two), built from the reduced norms.  The
+  generator and ``verify_bezout`` check ``c*a + d*b = delta^0`` on
+  zero-padded coefficient arrays (``algebra.twisted_product``), never
+  through trimmed ``Poly`` products.
 * ``WindingObstruction`` — the winding number of the determinant loop of
   the matrix embedding, the witness that single elements near the
   coordinate function cannot generate (stable rank at least two).
@@ -36,7 +39,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .algebra import CrossedElement, GroupSpec, det_on_circle, matrix_embedding
+from .algebra import (CrossedElement, GroupSpec, coefficient_array, det_on_circle,
+                      matrix_embedding, summed_norm, twisted_product)
 from .errors import CoprimalityFailure, GroupMismatch, GroupTooSmall, PerturbationExhausted
 from .poly import (Poly, grid_coeffs, grid_values, roots, sylvester_bezout,
                    winding_number)
@@ -271,9 +275,11 @@ class BezoutCertificate:
     crossed product as a left ideal.
 
     Stores the inputs, the perturbed approximants, and cofactors with
-    ``c*a + d*b = delta^0``; re-verification needs two convolutions and a
-    norm, nothing from the generator's internal state or from the way the
-    cofactors were found.
+    ``c*a + d*b = delta^0``.  ``residual`` is ``|c*a + d*b - delta^0|``
+    from two twisted products on untrimmed coefficient arrays, and the
+    distances are ``|x - a|`` and ``|y - b|``; re-verification recomputes
+    those three numbers from the stored elements, with nothing from the
+    generator's internal state or from the way the cofactors were found.
     """
 
     x: CrossedElement
@@ -298,6 +304,30 @@ def _in_z(f: Poly, n: int) -> Poly:
     coeffs = np.zeros(max(n * f.degree + 1, 0), dtype=complex)
     coeffs[::n] = f.coeffs
     return Poly(coeffs)
+
+
+def _bezout_residual(c: CrossedElement, a: CrossedElement,
+                     d: CrossedElement, b: CrossedElement) -> float:
+    """``|c*a + d*b - delta^0|`` on untrimmed coefficient arrays.
+
+    Trimmed ``Poly`` products would drop round-off below ``TRIM_RELATIVE``
+    before the unit is subtracted and understate the residual.
+    """
+    gap, other = twisted_product(c, a), twisted_product(d, b)
+    if gap.shape[1] < other.shape[1]:
+        gap, other = other, gap
+    gap[:, :other.shape[1]] += other
+    gap[0, 0] -= 1.0
+    return summed_norm(gap)
+
+
+def _distance(x: CrossedElement, a: CrossedElement) -> float:
+    """``|x - a|`` from zero-padded coefficient differences, added in
+    ``l1_norm``'s order: the bits of ``(x - a).l1_norm()`` whenever that
+    difference trims only zeros, as it does for a perturbed approximant."""
+    x._require_same_spec(a)
+    width = max(c.coeffs.size for c in x.comps + a.comps)
+    return summed_norm(coefficient_array(x, width) - coefficient_array(a, width))
 
 
 def bezout_certificate(x: CrossedElement, y: CrossedElement, eps: float,
@@ -344,7 +374,7 @@ def bezout_certificate(x: CrossedElement, y: CrossedElement, eps: float,
         c = CrossedElement(spec, (pz * comp for comp in adj_a.comps))
         d = CrossedElement(spec, (qz * comp for comp in adj_b.comps))
 
-        residual = (c * a + d * b - CrossedElement.unit(spec)).l1_norm()
+        residual = _bezout_residual(c, a, d, b)
         if residual >= CERTIFICATE_TOL:
             last = CoprimalityFailure(
                 f"assembled certificate residual {residual:.3e} exceeds "
@@ -352,8 +382,7 @@ def bezout_certificate(x: CrossedElement, y: CrossedElement, eps: float,
             continue
         return BezoutCertificate(
             x=x, y=y, a=a, b=b, c=c, d=d, epsilon=eps, residual=residual,
-            distance_x=(x - a).l1_norm(), distance_y=(y - b).l1_norm(),
-            seed=seed)
+            distance_x=_distance(x, a), distance_y=_distance(y, b), seed=seed)
     raise last
 
 
@@ -372,10 +401,9 @@ class VerificationReport:
 def verify_bezout(cert: BezoutCertificate) -> VerificationReport:
     """Re-verify a Bezout certificate from its stored data only."""
     failures = []
-    residual = (cert.c * cert.a + cert.d * cert.b
-                - CrossedElement.unit(cert.spec)).l1_norm()
-    dist_x = (cert.x - cert.a).l1_norm()
-    dist_y = (cert.y - cert.b).l1_norm()
+    residual = _bezout_residual(cert.c, cert.a, cert.d, cert.b)
+    dist_x = _distance(cert.x, cert.a)
+    dist_y = _distance(cert.y, cert.b)
     if not residual < CERTIFICATE_TOL:
         failures.append(f"residual {residual:.3e} >= tolerance {CERTIFICATE_TOL:.0e}")
     if not dist_x < cert.epsilon:

@@ -255,15 +255,24 @@ def roots(f: Poly) -> np.ndarray:
         companion = np.eye(core.size - 1, k=-1, dtype=complex)
         companion[0] = -core[-2::-1] / core[-1]
         raw[:core.size - 1] = np.linalg.eigvals(companion)
-    # f and f' at every eigenvalue at once
-    powers = np.vander(raw, cs.size, increasing=True)
+    # one Newton step on a row-scaled Vandermonde matrix: row i holds
+    # r_i**k / s_i, with s_i = r_i**deg outside the unit circle (the powers
+    # of 1/r_i, reversed) and 1 inside, so no power exceeds 1 in modulus;
+    # then powers @ cs is f(r_i) / s_i, and powers @ (k * cs) is r_i f'(r_i) / s_i
+    outer = np.abs(raw) > 1.0
+    pts = raw.copy()
+    pts[outer] = 1.0 / raw[outer]
+    powers = np.vander(pts, cs.size, increasing=True)
+    powers[outer] = powers[outer, ::-1]
     fr = powers @ cs
-    dr = powers[:, :-1] @ (cs[1:] * np.arange(1, cs.size))
-    # a root where the derivative vanishes keeps a zero step
-    cand = raw - np.divide(fr, dr, out=np.zeros(raw.size, dtype=complex), where=dr != 0)
+    gr = powers @ (cs * np.arange(cs.size))
+    # r - f/f' = r * ratio; a root where the derivative vanishes keeps a zero step
+    ratio = 1.0 - np.divide(fr, gr, out=np.zeros(raw.size, dtype=complex), where=gr != 0)
+    # f(r * ratio) / s_i from the same rows, so the comparison below is
+    # |f(cand)| <= |f(r)| scaled by one positive factor per root
+    fc = (np.vander(ratio, cs.size, increasing=True) * powers) @ cs
     # keep each Newton step only if it actually improved the residual
-    fc = np.vander(cand, cs.size, increasing=True) @ cs
-    out = np.where(np.abs(fc) <= np.abs(fr), cand, raw)
+    out = np.where(np.abs(fc) <= np.abs(fr), raw * ratio, raw)
     out.setflags(write=False)
     f._roots = out
     return out
@@ -320,7 +329,15 @@ def sylvester_bezout(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     p = Poly(sol[:k]) / sf
     q = Poly(sol[k:]) / sg
 
-    residual = (p * f + q * g - Poly.one()).wiener_norm()
+    # untrimmed: a Poly product would trim round-off below TRIM_RELATIVE
+    # before the unit is subtracted, and understate the residual
+    gap = np.zeros(m + k, dtype=complex)
+    for cofactor, h in ((p, f), (q, g)):
+        if cofactor.coeffs.size:
+            prod = np.convolve(cofactor.coeffs, h.coeffs)
+            gap[:prod.size] += prod
+    gap[0] -= 1.0
+    residual = float(sum(_moduli(gap).tolist()))
     if residual > BEZOUT_RESIDUAL_TOL:
         raise CoprimalityFailure(
             f"Bezout residual {residual:.3e} exceeds {BEZOUT_RESIDUAL_TOL:.0e}",

@@ -7,10 +7,11 @@ import cmath
 import numpy as np
 import pytest
 
-from crossrank.algebra import (AlgMatrix, CrossedElement, GroupSpec, convolve,
-                               det_on_circle, expectation, index_element,
+from crossrank.algebra import (AlgMatrix, CrossedElement, GroupSpec,
+                               coefficient_array, convolve, det_on_circle, expectation, index_element,
                                matrix_embedding, matrix_norm_checks,
-                               quasi_basis, reconstruct)
+                               quasi_basis, reconstruct, summed_norm,
+                               twisted_product)
 from crossrank.errors import GroupMismatch, VanishingDeterminant
 from crossrank.poly import Poly, circle_points, winding_number
 from crossrank.randomness import random_crossed, random_poly, seeded_generator
@@ -79,6 +80,39 @@ def test_convolve_requires_same_spec():
     y = CrossedElement.unit(GroupSpec(3))
     with pytest.raises(GroupMismatch):
         convolve(x, y)
+
+
+def test_twisted_product_is_the_untrimmed_convolution():
+    rng = seeded_generator(3)
+    for n, m in ((1, 0), (2, 1), (3, 2), (5, 2)):
+        spec = GroupSpec(n, m)
+        for dx, dy in ((0, 0), (4, 1), (2, 7)):
+            x, y = random_crossed(rng, spec, dx), random_crossed(rng, spec, dy)
+            lx = max(c.coeffs.size for c in x.comps)
+            ly = max(c.coeffs.size for c in y.comps)
+            direct = np.zeros((n, lx + ly - 1), dtype=complex)
+            for h in range(n):
+                for g in range(n):
+                    prod = np.convolve(x.comps[h].coeffs,
+                                       spec.twist(y.comps[(g - h) % n], h).coeffs)
+                    direct[g, :prod.size] += prod
+            kernel = twisted_product(x, y)
+            assert kernel.shape == direct.shape
+            # the same n * ly products per coefficient, added in another order
+            bound = n * ly * np.finfo(float).eps * x.l1_norm() * y.l1_norm()
+            assert np.abs(kernel - direct).max() <= bound
+            assert convolve(x, y) == CrossedElement(spec, map(Poly, kernel))
+    zero = CrossedElement.zero(GroupSpec(3))
+    assert twisted_product(zero, zero).shape == (3, 1)
+    assert (zero * CrossedElement.unit(GroupSpec(3))).is_zero
+
+
+def test_summed_norm_reads_the_element_bits():
+    rng = seeded_generator(4)
+    x = random_crossed(rng, GroupSpec(4), 5)
+    padded = coefficient_array(x, max(c.coeffs.size for c in x.comps) + 3)
+    assert not padded[:, -3:].any()
+    assert summed_norm(padded) == x.l1_norm()
 
 
 def test_convolve_associative():

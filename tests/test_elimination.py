@@ -1,9 +1,14 @@
 """Elimination cascade, perturbation, and the two certificate types."""
 from __future__ import annotations
 
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
 import pytest
 import sympy as sp
 
+from crossrank import algebra, serialize
 from crossrank.algebra import (CrossedElement, GroupSpec, det_on_circle,
                                matrix_embedding)
 from crossrank.elimination import (bezout_certificate, closed_form_top_n2,
@@ -328,10 +333,106 @@ def test_certificate_verification_catches_corruption():
     cert = bezout_certificate(x, y, 0.1, rng)
     comps = list(cert.c.comps)
     comps[0] = comps[0] + Poly.constant(1e-3)
-    from dataclasses import replace
     broken = replace(cert, c=CrossedElement(spec, comps))
     report = verify_bezout(broken)
     assert not report.ok
+
+
+def test_certificate_verification_catches_nan_cofactor():
+    spec = GroupSpec(2)
+    rng = seeded_generator(9)
+    cert = bezout_certificate(random_crossed(rng, spec, 3), random_crossed(rng, spec, 3),
+                              0.1, rng)
+    comps = list(cert.c.comps)
+    comps[0] = comps[0] + Poly.constant(float("nan"))
+    report = verify_bezout(replace(cert, c=CrossedElement(spec, comps)))
+    assert not report.ok
+    assert any(f.startswith("residual") for f in report.failures), report.failures
+
+
+def plain_twisted(x: CrossedElement, y: CrossedElement) -> np.ndarray:
+    """``x * y`` summed from ``np.convolve`` products, untrimmed."""
+    n = x.spec.n
+    width = max(c.coeffs.size for c in x.comps) + max(c.coeffs.size for c in y.comps)
+    out = np.zeros((n, width), dtype=complex)
+    for h in range(n):
+        for g in range(n):
+            f, t = x.comps[h].coeffs, x.spec.twist(y.comps[(g - h) % n], h).coeffs
+            if f.size and t.size:
+                prod = np.convolve(f, t)
+                out[g, :prod.size] += prod
+    return out
+
+
+def trimmed_chain(x: CrossedElement, y: CrossedElement) -> CrossedElement:
+    """``x * y`` from trimmed ``Poly`` products and sums."""
+    n = x.spec.n
+    return CrossedElement(x.spec, (
+        sum((x.comps[h] * x.spec.twist(y.comps[(g - h) % n], h) for h in range(1, n)),
+            x.comps[0] * y.comps[g])
+        for g in range(n)))
+
+
+def test_certificate_residual_is_untrimmed():
+    """The stored residual is ``|c*a + d*b - 1|`` with nothing trimmed.
+
+    A plain ``np.convolve`` recomputation adds the same products in
+    another order.  That moves each coefficient by at most
+    ``gamma_K (|c||a| + |d||b|)`` summed over coefficients; over the 768
+    certificates of ``perfbench`` seeds 1, 5, 9 and 601 the residuals
+    differed by at most 0.08 ``u (|c||a| + |d||b|)``, ``u = 2**-52``, so
+    a tenth of that is the tolerance.  The trimmed ``Poly`` chain drops
+    the round-off below 1e-12 relative and reads lower.
+    """
+    path = Path(__file__).parent / "data" / "golden-cert-upper-n3.json"
+    cert = serialize.bezout_from_obj(serialize.read_file(path))
+    gap = plain_twisted(cert.c, cert.a)
+    other = plain_twisted(cert.d, cert.b)
+    gap[:, :other.shape[1]] += other
+    gap[0, 0] -= 1.0
+    plain = float(np.abs(gap).sum())
+    scale = 2.0 ** -52 * (cert.c.l1_norm() * cert.a.l1_norm()
+                          + cert.d.l1_norm() * cert.b.l1_norm())
+    assert abs(cert.residual - plain) <= 0.1 * scale, (cert.residual, plain, scale)
+    unit = CrossedElement.unit(cert.spec)
+    trimmed = (trimmed_chain(cert.c, cert.a) + trimmed_chain(cert.d, cert.b) - unit).l1_norm()
+    assert cert.residual > trimmed
+    assert verify_bezout(cert).ok
+
+
+def test_certificate_and_verify_build_no_crossed_products(monkeypatch):
+    calls = []
+    real = algebra.convolve
+
+    def counting(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(algebra, "convolve", counting)
+    spec = GroupSpec(3)
+    rng = seeded_generator(17)
+    x, y = random_crossed(rng, spec, 4), random_crossed(rng, spec, 4)
+    cert = bezout_certificate(x, y, 0.1, rng)
+    assert verify_bezout(cert).ok
+    assert calls == []
+    x * y  # the counter sees products made through ``*``
+    assert calls == [1]
+
+
+def test_certificate_distances_are_the_element_norms():
+    rng = seeded_generator(23)
+    unperturbed = 0
+    for n in (2, 3, 4):
+        spec = GroupSpec(n)
+        for _ in range(6):
+            x, y = random_crossed(rng, spec, 3), random_crossed(rng, spec, 3)
+            cert = bezout_certificate(x, y, 0.1, rng)
+            assert cert.distance_x == (x - cert.a).l1_norm()
+            assert cert.distance_y == (y - cert.b).l1_norm()
+            if cert.a == x:
+                assert cert.distance_x == 0.0
+                unperturbed += 1
+    assert unperturbed
 
 
 # -- winding obstructions

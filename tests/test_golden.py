@@ -19,6 +19,11 @@ lift gate moved to untrimmed coefficient arrays: each ``Poly`` product had
 trimmed trailing coefficients at 1e-12 relative before ``I`` was
 subtracted, dropping a diagonal entry's round-off, so the stored value
 understated ``|Z X - I|`` (1.656e-14 against 2.886e-14 for the 3x2 lift).
+``golden-cert-upper-n3.json`` was re-written in ``residual`` only when the
+Bezout identity moved to untrimmed coefficient arrays, for the same
+reason: the trimmed ``Poly`` products stored 4.62e-14, the untrimmed
+``|c*a + d*b - delta^0|`` is 6.94e-14.  Every other key parses as before,
+and the new text is the old text with that one number replaced.
 """
 from __future__ import annotations
 

@@ -263,6 +263,19 @@ def test_roots_match_numpy_companion_solve():
     assert roots(Poly.constant(2.5j)).shape == (0,)
 
 
+def test_roots_beyond_float_range_powers():
+    # (z^2 - 1e6)(z^110 - 0.5): the roots +-1000 have |r|^112 = 1e336, so a
+    # polish through the powers r**k overflows (a RuntimeWarning, an error
+    # under this suite's filter) and the NaN comparison keeps the raw root
+    cs = np.zeros(113, dtype=complex)
+    cs[[0, 2, 110, 112]] = 5e5, -0.5, -1e6, 1.0
+    rs = roots(Poly(cs))
+    assert rs.shape == (112,) and np.isfinite(rs).all()
+    by_size = sorted(rs, key=abs)
+    assert sorted(by_size[-2:], key=lambda r: r.real) == pytest.approx([-1e3, 1e3], rel=1e-13)
+    assert np.abs(np.abs(by_size[:-2]) - 0.5 ** (1 / 110)).max() < 1e-12
+
+
 def test_roots_solved_once_read_only():
     f = Poly([0.25, -1.0, 0.5j, 1.0])
     rs = roots(f)
