@@ -10,8 +10,8 @@ matrix lifts through the conditional expectation, and SU(1,1) conjugations
 reducing arbitrary finite automorphism groups to rotations.
 """
 from .algebra import (AlgMatrix, CrossedElement, GroupSpec, convolve,
-                      det_on_circle, expectation, index_element, matrix_embedding, matrix_norm_checks, quasi_basis,
-                      reconstruct)
+                      det_on_circle, expectation, index_element, matrix_embedding,
+                      quasi_basis, reconstruct)
 from .bounds import BoundsReport, stable_rank_bounds
 from .elimination import (BezoutCertificate, EliminationTrace, ScalingReport,
                           VerificationReport, WindingObstruction,

@@ -8,10 +8,12 @@ convolution
     (x * y)_g = sum_h x_h * alpha^h(y_{g-h})      (indices mod n),
 
 where ``alpha`` twists coefficient ``c_k`` into ``c_k * omega**k`` for a
-primitive n-th root of unity ``omega``.  The module also provides the
-conditional expectation onto the identity component, the standard
-quasi-basis with its integer index, the n-by-n matrix embedding, and
-matrices over the algebra with the summed entry norm.
+primitive n-th root of unity ``omega``; ``twisted_product`` computes it,
+and ``unit_gap`` the gap ``|sum x*y - delta^0|``, on untrimmed arrays.
+The module also provides the conditional expectation, the standard
+quasi-basis with its integer index, the n-by-n matrix embedding ``pi`` (and
+``embedding_grid``, its values at roots of unity, which the determinant
+loop and the reduced norm both read), and matrices with the summed norm.
 """
 from __future__ import annotations
 
@@ -25,10 +27,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import GroupMismatch, VanishingDeterminant
-from .poly import CirclePath, Poly, _moduli, grid_coeffs, grid_values, rotate
+from .poly import (CirclePath, Poly, grid_coeffs, grid_values, padded, rotate,
+                   summed_norm)
 
 DET_FLOOR = 1e-12
-NORM_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -162,25 +164,6 @@ def _width(x: CrossedElement) -> int:
     return max(1, *(c.coeffs.size for c in x.comps))
 
 
-def coefficient_array(x: CrossedElement, width: int) -> np.ndarray:
-    """The components of ``x`` as the rows of an ``(n, width)`` array, padded
-    with zeros; ``width`` must hold the longest component."""
-    out = np.zeros((x.spec.n, width), dtype=complex)
-    for row, c in zip(out, x.comps):
-        row[:c.coeffs.size] = c.coeffs
-    return out
-
-
-def summed_norm(coeffs: np.ndarray) -> float:
-    """Summed Wiener norm of the rows of an ``(n, L)`` coefficient array.
-
-    The moduli are added in ``CrossedElement.l1_norm``'s order, so an array
-    whose rows are a ``Poly``'s coefficients followed by zeros reads the
-    same bits as the element.
-    """
-    return float(sum(sum(row) for row in _moduli(coeffs).tolist()))
-
-
 @functools.lru_cache(maxsize=64)
 def _product_plan(spec: GroupSpec, lx: int, ly: int) -> tuple[np.ndarray, ...]:
     """Index and phase arrays of ``twisted_product`` for factors whose
@@ -216,8 +199,8 @@ def twisted_product(x: CrossedElement, y: CrossedElement) -> np.ndarray:
     lx, ly = _width(x), _width(y)
     windows, order, phases = _product_plan(x.spec, lx, ly)
     # column lx of the padded x is the zero slot
-    toeplitz = coefficient_array(x, lx + 1)[:, windows]
-    twisted = coefficient_array(y, ly)[order][..., ::-1] * phases
+    toeplitz = padded(x.comps, lx + 1)[:, windows]
+    twisted = padded(y.comps, ly)[order][..., ::-1] * phases
     return np.einsum("hlj,hgj->gl", toeplitz, twisted)
 
 
@@ -229,6 +212,19 @@ def convolve(x: CrossedElement, y: CrossedElement) -> CrossedElement:
     summed norm.
     """
     return CrossedElement(x.spec, map(Poly, twisted_product(x, y)))
+
+
+def unit_gap(pairs: Iterable[tuple[CrossedElement, CrossedElement]]) -> float:
+    """``|sum x*y - delta^0|`` over the pairs ``(x, y)``, summed in order from
+    ``twisted_product`` arrays.  Nothing is trimmed: ``Poly`` products would
+    drop round-off below ``TRIM_RELATIVE`` and understate the gap."""
+    products = [twisted_product(x, y) for x, y in pairs]
+    gap = np.zeros((products[0].shape[0], max(p.shape[1] for p in products)),
+                   dtype=complex)
+    for p in products:
+        gap[:, :p.shape[1]] += p
+    gap[0, 0] -= 1.0
+    return summed_norm(gap)
 
 
 def expectation(x: CrossedElement) -> CrossedElement:
@@ -281,41 +277,48 @@ def matrix_embedding(x: CrossedElement) -> "AlgMatrix":
     A unital algebra homomorphism: it sends ``delta^0``-supported elements
     to diagonals of twists and turns convolution into the matrix product.
     """
-    spec = x.spec
-    n = spec.n
-    rows = []
-    for h in range(n):
-        rows.append([spec.twist(x.comps[(k - h) % n], h) for k in range(n)])
-    return AlgMatrix(rows)
+    spec, n = x.spec, x.spec.n
+    return AlgMatrix([[spec.twist(x.comps[(k - h) % n], h) for k in range(n)]
+                      for h in range(n)])
 
 
-def det_on_circle(mat: "AlgMatrix", samples: int) -> CirclePath:
-    """Determinant loop of a polynomial matrix on the unit circle.
+def embedding_grid(a: CrossedElement) -> np.ndarray:
+    """``pi(a)`` at the ``n*(d+1)`` roots of unity, ``d`` being the largest
+    component degree, as an ``(n*(d+1), n, n)`` array.
 
-    The determinant is a polynomial of degree at most ``S``, the sum over
-    rows of the largest entry degree, so numeric determinants at ``S + 1``
-    roots of unity interpolate it exactly.  Its coefficients, folded modulo
-    ``samples`` (exact at the ``samples``-th roots of unity), give the loop
-    at the ``circle_points(samples)`` with one FFT: ``S + 1`` determinants
-    whatever the sample count.  Rejects loops passing through (numerical)
-    zero, which are useless for winding counts.
+    Slice ``j`` is ``pi(a)`` at ``exp(2j*pi*j/(n*(d+1)))``.  On this grid
+    ``alpha^h`` is a roll by ``h*m*(d+1)`` points, so the ``n`` components
+    are evaluated once and every entry is a gather.  ``det pi(a)`` has
+    degree at most ``n*d``, below the grid size, so its values here
+    interpolate it exactly.
     """
-    if mat.rows != mat.cols:
-        raise ValueError("determinant needs a square matrix")
-    if not all(isinstance(e, Poly) for row in mat.entries for e in row):
-        raise TypeError("det_on_circle expects polynomial entries")
+    spec, n = a.spec, a.spec.n
+    size = n * (max(max(c.degree for c in a.comps), 0) + 1)
+    values = grid_values(a.comps, size)
+    j = np.arange(size)[:, None, None]
+    h = np.arange(n)[None, :, None]
+    k = np.arange(n)[None, None, :]
+    # entry (h, k) of pi(a) is alpha^h(a_{k-h}), and alpha^h(f)(z) = f(omega^h z)
+    return values[(k - h) % n, (j + h * spec.m * (size // n)) % size]
+
+
+def det_on_circle(x: CrossedElement, samples: int) -> CirclePath:
+    """The loop ``det pi(x)`` at the ``circle_points(samples)``.
+
+    The determinant polynomial is interpolated from its values on
+    ``embedding_grid(x)``; its coefficients, folded modulo ``samples``
+    (exact at the ``samples``-th roots of unity), give the loop with one
+    FFT, so the determinant work does not grow with the sample count.
+    Rejects loops passing through (numerical) zero, which are useless for
+    winding counts.
+    """
     if samples < 16:
         raise ValueError("need at least 16 circle points")
-    size = 1 + sum(max(0, *(e.degree for e in row)) for row in mat.entries)
-    values = grid_values((e for row in mat.entries for e in row), size)
-    coeffs = grid_coeffs(np.linalg.det(
-        np.moveaxis(values.reshape(mat.rows, mat.cols, size), -1, 0)))
+    coeffs = grid_coeffs(np.linalg.det(embedding_grid(x)))
     # coefficient k adds into slot k mod samples; the unscaled inverse FFT is
     # ``grid_values`` on raw coefficients, which a Poly would trim
     folded = np.zeros(samples, dtype=complex)
-    for start in range(0, size, samples):
-        chunk = coeffs[start:start + samples]
-        folded[:chunk.size] += chunk
+    np.add.at(folded, np.arange(coeffs.size) % samples, coeffs)
     path = CirclePath(np.fft.ifft(folded, norm="forward"))
     if path.min_modulus < DET_FLOOR:
         raise VanishingDeterminant(
@@ -368,21 +371,19 @@ class AlgMatrix:
     def to_lists(self) -> list[list]:
         return [list(row) for row in self.entries]
 
-    def __add__(self, other: AlgMatrix) -> AlgMatrix:
+    def _entrywise(self, other, op):
         if not isinstance(other, AlgMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return AlgMatrix([[a + b for a, b in zip(ra, rb)]
+        return AlgMatrix([[op(a, b) for a, b in zip(ra, rb)]
                           for ra, rb in zip(self.entries, other.entries)])
 
+    def __add__(self, other: AlgMatrix) -> AlgMatrix:
+        return self._entrywise(other, operator.add)
+
     def __sub__(self, other: AlgMatrix) -> AlgMatrix:
-        if not isinstance(other, AlgMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return AlgMatrix([[a - b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)])
+        return self._entrywise(other, operator.sub)
 
     def __mul__(self, other: AlgMatrix) -> AlgMatrix:
         if not isinstance(other, AlgMatrix):
@@ -403,36 +404,5 @@ class AlgMatrix:
         """Sum of entry norms."""
         return float(sum(entry_norm(e) for row in self.entries for e in row))
 
-    def max_entry_norm(self) -> float:
-        return float(max(entry_norm(e) for row in self.entries for e in row))
-
     def __repr__(self) -> str:
         return f"AlgMatrix({self.rows}x{self.cols})"
-
-
-@dataclass(frozen=True)
-class MatrixNormReport:
-    """Concrete norm facts for a matrix, and whether the summed norm is
-    submultiplicative when a second factor is supplied."""
-
-    max_entry_norm: float
-    l1_norm: float
-    product_norm: float | None = None
-    product_bound: float | None = None
-    submultiplicative_ok: bool | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.submultiplicative_ok is not False
-
-
-def matrix_norm_checks(mat: AlgMatrix, other: AlgMatrix | None = None) -> MatrixNormReport:
-    total = mat.norm_l1()
-    report = dict(max_entry_norm=mat.max_entry_norm(), l1_norm=total)
-    if other is not None:
-        product_norm = (mat * other).norm_l1()
-        bound = total * other.norm_l1()
-        report.update(
-            product_norm=product_norm, product_bound=bound,
-            submultiplicative_ok=product_norm <= bound * (1.0 + NORM_SLACK) + NORM_SLACK)
-    return MatrixNormReport(**report)

@@ -19,16 +19,17 @@ reduced norm: row 0 of the adjugate of the matrix embedding ``pi(a)`` is
 an element ``adj`` with ``adj * a = det pi(a) delta^0``, and ``det pi(a)``
 is a polynomial in ``w = z**n`` of degree at most ``deg(a)``.
 
-Two certificate types live here:
+Two certificate types live here, and both read ``pi`` from one grid,
+``algebra.embedding_grid``:
 
 * ``BezoutCertificate`` — cofactors exhibiting ``delta^0`` in the left
   ideal generated by a perturbed pair, the witness that pairs generate
   densely (stable rank at most two), built from the reduced norms.  The
-  generator and ``verify_bezout`` check ``c*a + d*b = delta^0`` on
-  zero-padded coefficient arrays (``algebra.twisted_product``), never
-  through trimmed ``Poly`` products.
-* ``WindingObstruction`` — the winding number of the determinant loop of
-  the matrix embedding, the witness that single elements near the
+  generator and ``verify_bezout`` check ``c*a + d*b = delta^0`` with
+  ``algebra.unit_gap``, on zero-padded coefficient arrays, never through
+  trimmed ``Poly`` products.
+* ``WindingObstruction`` — the winding number of the determinant loop
+  ``algebra.det_on_circle``, the witness that single elements near the
   coordinate function cannot generate (stable rank at least two).
 """
 from __future__ import annotations
@@ -39,10 +40,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .algebra import (CrossedElement, GroupSpec, coefficient_array, det_on_circle,
-                      matrix_embedding, summed_norm, twisted_product)
+from .algebra import (CrossedElement, GroupSpec, det_on_circle, embedding_grid,
+                      unit_gap)
 from .errors import CoprimalityFailure, GroupMismatch, GroupTooSmall, PerturbationExhausted
-from .poly import (Poly, grid_coeffs, grid_values, roots, sylvester_bezout,
+from .poly import (Poly, grid_coeffs, padded, roots, summed_norm, sylvester_bezout,
                    winding_number)
 
 CERTIFICATE_TOL = 1e-6
@@ -187,25 +188,18 @@ def reduced_norm(a: CrossedElement) -> tuple[Poly, CrossedElement]:
     ``pi(a)`` without row ``k`` and column 0.  The twist conjugates
     ``pi(a)`` by a cyclic permutation, so ``det pi(a)`` is invariant under
     ``z -> omega * z`` and has degree at most ``d`` in ``w``, ``d`` being
-    the largest component degree.  Both are computed on ``n*(d+1)`` roots
-    of unity, where ``alpha^h`` is a roll by ``h*m*(d+1)`` points, and the
-    minors need no division, so a singular ``pi(a)`` is no special case.
+    the largest component degree.  Both are interpolated from
+    ``embedding_grid(a)``, and the minors need no division, so a singular
+    ``pi(a)`` is no special case.
     """
-    spec = a.spec
-    n = spec.n
-    size = n * (max(max(c.degree for c in a.comps), 0) + 1)
-    values = grid_values(a.comps, size)
-    j = np.arange(size)[:, None, None]
-    h = np.arange(n)[None, :, None]
-    k = np.arange(n)[None, None, :]
-    # entry (h, k) of pi(a) is alpha^h(a_{k-h}), and alpha^h(f)(z) = f(omega^h z)
-    grid = values[(k - h) % n, (j + h * spec.m * (size // n)) % size]
+    n = a.spec.n
+    grid = embedding_grid(a)
     # keep[r] lists the rows other than r, in order
     keep = np.array([[i for i in range(n) if i != r] for r in range(n)], dtype=int)
     minors = np.linalg.det(grid[:, keep, 1:]).T
     minors[1::2] *= -1
     norm = Poly(grid_coeffs(np.linalg.det(grid))[::n])
-    return norm, CrossedElement(spec, (Poly(row) for row in grid_coeffs(minors)))
+    return norm, CrossedElement(a.spec, (Poly(row) for row in grid_coeffs(minors)))
 
 
 def perturb_avoiding(a: CrossedElement, avoid: Iterable[complex], eps: float,
@@ -306,28 +300,13 @@ def _in_z(f: Poly, n: int) -> Poly:
     return Poly(coeffs)
 
 
-def _bezout_residual(c: CrossedElement, a: CrossedElement,
-                     d: CrossedElement, b: CrossedElement) -> float:
-    """``|c*a + d*b - delta^0|`` on untrimmed coefficient arrays.
-
-    Trimmed ``Poly`` products would drop round-off below ``TRIM_RELATIVE``
-    before the unit is subtracted and understate the residual.
-    """
-    gap, other = twisted_product(c, a), twisted_product(d, b)
-    if gap.shape[1] < other.shape[1]:
-        gap, other = other, gap
-    gap[:, :other.shape[1]] += other
-    gap[0, 0] -= 1.0
-    return summed_norm(gap)
-
-
 def _distance(x: CrossedElement, a: CrossedElement) -> float:
     """``|x - a|`` from zero-padded coefficient differences, added in
     ``l1_norm``'s order: the bits of ``(x - a).l1_norm()`` whenever that
     difference trims only zeros, as it does for a perturbed approximant."""
     x._require_same_spec(a)
     width = max(c.coeffs.size for c in x.comps + a.comps)
-    return summed_norm(coefficient_array(x, width) - coefficient_array(a, width))
+    return summed_norm(padded(x.comps, width) - padded(a.comps, width))
 
 
 def bezout_certificate(x: CrossedElement, y: CrossedElement, eps: float,
@@ -374,7 +353,7 @@ def bezout_certificate(x: CrossedElement, y: CrossedElement, eps: float,
         c = CrossedElement(spec, (pz * comp for comp in adj_a.comps))
         d = CrossedElement(spec, (qz * comp for comp in adj_b.comps))
 
-        residual = _bezout_residual(c, a, d, b)
+        residual = unit_gap(((c, a), (d, b)))
         if residual >= CERTIFICATE_TOL:
             last = CoprimalityFailure(
                 f"assembled certificate residual {residual:.3e} exceeds "
@@ -401,7 +380,7 @@ class VerificationReport:
 def verify_bezout(cert: BezoutCertificate) -> VerificationReport:
     """Re-verify a Bezout certificate from its stored data only."""
     failures = []
-    residual = _bezout_residual(cert.c, cert.a, cert.d, cert.b)
+    residual = unit_gap(((cert.c, cert.a), (cert.d, cert.b)))
     dist_x = _distance(cert.x, cert.a)
     dist_y = _distance(cert.y, cert.b)
     if not residual < CERTIFICATE_TOL:
@@ -445,11 +424,14 @@ def _check_margin(n: int, delta: float) -> None:
 
     ``delta`` must lie in ``(0, 1)`` and satisfy
     ``(1 - delta)**n > n! * delta**n``; the generator and the verifier both
-    call this, so a stored obstruction is held to the same guard.
+    call this, so a stored obstruction is held to the same guard.  With
+    ``delta = p/q`` exactly, both sides times ``q**n`` are integers, so the
+    comparison is exact, also from ``n = 171``, where ``n!`` overflows a float.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta={delta} does not lie in (0, 1)")
-    if not (1.0 - delta) ** n > math.factorial(n) * delta ** n:
+    p, q = delta.as_integer_ratio()
+    if not (q - p) ** n > math.factorial(n) * p ** n:
         raise ValueError(
             f"margin (1-delta)^{n} > {n}! * delta^{n} fails for delta={delta}")
 
@@ -467,10 +449,9 @@ def winding_obstruction(spec: GroupSpec, delta: float, rng: np.random.Generator,
     _check_margin(spec.n, delta)
 
     element = CrossedElement.monomial(spec, 0, Poly.monomial(1))
-    embedding = matrix_embedding(element)
-    path = det_on_circle(embedding, samples)
+    path = det_on_circle(element, samples)
     w = winding_number(path)
-    w_fine = winding_number(det_on_circle(embedding, 4 * samples))
+    w_fine = winding_number(det_on_circle(element, 4 * samples))
     if w != w_fine:
         raise ValueError(
             f"winding disagrees across sample counts ({w} vs {w_fine}); "
@@ -479,7 +460,7 @@ def winding_obstruction(spec: GroupSpec, delta: float, rng: np.random.Generator,
     trial_windings, trial_lows = [], []
     for _ in range(10):
         bump = _random_perturbation(spec, delta, rng)
-        trial = det_on_circle(matrix_embedding(element + bump), samples)
+        trial = det_on_circle(element + bump, samples)
         trial_windings.append(winding_number(trial))
         trial_lows.append(trial.min_modulus)
 
@@ -521,10 +502,9 @@ def verify_winding(obs: WindingObstruction) -> VerificationReport:
         failures.append(f"trial circle minimum {trial_min} does not fit {obs.trials} trials")
     try:
         _check_margin(obs.spec.n, obs.delta)
-        embedding = matrix_embedding(obs.element)
-        path = det_on_circle(embedding, obs.samples)
+        path = det_on_circle(obs.element, obs.samples)
         w = winding_number(path)
-        w_fine = winding_number(det_on_circle(embedding, 4 * obs.samples))
+        w_fine = winding_number(det_on_circle(obs.element, 4 * obs.samples))
         if w != obs.winding:
             failures.append(f"stored winding {obs.winding} != recomputed {w}")
         if w_fine != obs.winding:

@@ -21,7 +21,9 @@ every coefficient counts, the diagonal's included.
 
 ``lift_generating_tuple`` feeds the lift with the expectation matrix of a
 tuple of crossed-product elements, producing a nearby generating tuple
-together with a witness row over the subalgebra.
+together with a witness row over the subalgebra.  Both moves are component
+reads, and the witness residual is ``algebra.unit_gap`` on untrimmed arrays,
+so a tuple lift multiplies no crossed-product elements.
 """
 from __future__ import annotations
 
@@ -30,9 +32,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import AlgMatrix, CrossedElement
+from .algebra import AlgMatrix, CrossedElement, unit_gap
 from .errors import OracleFailure, PerturbationExhausted
-from .poly import Poly, _moduli, convolution_matrix
+from .poly import REFINEMENT_STOP, Poly, convolution_matrix, padded, summed_norm
 
 ORACLE_MAX_ATTEMPTS = 64
 LEVEL_ACCEPT_RESIDUAL = 1e-7
@@ -145,8 +147,8 @@ def _gated(output: AlgMatrix, left_inverse: AlgMatrix, mat: AlgMatrix,
     gap = np.array([[sum(np.convolve(zs[i, k], xs[k, j]) for k in range(rows))
                      for j in range(cols)] for i in range(cols)])
     gap[np.arange(cols), np.arange(cols), 0] -= 1.0
-    residual = _summed_norm(gap)
-    distance = _summed_norm(xs - ms)
+    residual = summed_norm(gap)
+    distance = summed_norm(xs - ms)
     if residual <= LEVEL_ACCEPT_RESIDUAL and distance < eps:
         return LiftResult(output, left_inverse, distance, residual)
     return None
@@ -156,19 +158,8 @@ def _padded(*mats: AlgMatrix) -> list[np.ndarray]:
     """Each matrix's coefficients as an ``(r, c, width)`` array, zero-padded
     to the longest entry among them all (at least one coefficient)."""
     width = max(1, *(e.coeffs.size for m in mats for row in m.entries for e in row))
-    arrays = []
-    for m in mats:
-        out = np.zeros((m.rows, m.cols, width), dtype=complex)
-        for i, row in enumerate(m.entries):
-            for j, e in enumerate(row):
-                out[i, j, :e.coeffs.size] = e.coeffs
-        arrays.append(out)
-    return arrays
-
-
-def _summed_norm(coeffs: np.ndarray) -> float:
-    """Sum of the entry norms of a ``(r, c, width)`` coefficient array."""
-    return float(sum(_moduli(coeffs).sum(axis=-1).ravel().tolist()))
+    return [padded((e for row in m.entries for e in row), width)
+            .reshape(m.rows, m.cols, width) for m in mats]
 
 
 def _left_inverse(entries: list[list[Poly]]) -> AlgMatrix:
@@ -196,7 +187,7 @@ def _left_inverse(entries: list[list[Poly]]) -> AlgMatrix:
     sol = np.linalg.lstsq(system, rhs, rcond=None)[0]
     for _ in range(4):
         gap = rhs - system @ sol
-        if float(np.max(np.abs(gap))) < 1e-14:
+        if float(np.max(np.abs(gap))) < REFINEMENT_STOP:
             break
         sol = sol + np.linalg.lstsq(system, gap, rcond=None)[0]
     return AlgMatrix([[Poly(part) for part in z_row.reshape(rows, cap)] for z_row in sol.T])
@@ -205,7 +196,8 @@ def _left_inverse(entries: list[list[Poly]]) -> AlgMatrix:
 @dataclass(frozen=True)
 class TupleLift:
     """A generating tuple near the input, with the subalgebra witness row
-    certifying ``sum_j w_j * y_j = delta^0``."""
+    certifying ``sum_j w_j * y_j = delta^0``; ``residual`` is
+    ``|sum_j w_j * y_j - delta^0|`` on untrimmed coefficient arrays."""
 
     outputs: tuple[CrossedElement, ...]
     witness: tuple[CrossedElement, ...]
@@ -253,8 +245,6 @@ def lift_generating_tuple(elements: Sequence[CrossedElement], eps: float,
     outputs = tuple(CrossedElement(spec, (x_row[-g % n] for g in range(n))) for x_row in x)
     witness = tuple(CrossedElement.monomial(spec, 0, z[0][j]) for j in range(n + 1))
 
-    products = [w * y for w, y in zip(witness, outputs)]
-    combo = sum(products[1:], products[0])
-    residual = (combo - CrossedElement.unit(spec)).l1_norm()
+    residual = unit_gap(zip(witness, outputs))
     distances = tuple((y - b).l1_norm() for y, b in zip(outputs, elements))
-    return TupleLift(outputs, witness, float(residual), distances, lift)
+    return TupleLift(outputs, witness, residual, distances, lift)

@@ -26,6 +26,8 @@ ROOT_OF_UNITY_TOL = 1e-12
 COPRIME_ROOT_SEPARATION = 1e-6
 SYLVESTER_CONDITION_CAP = 1e12
 BEZOUT_RESIDUAL_TOL = 1e-8
+# iterative refinement stops once every equation is met to this
+REFINEMENT_STOP = 1e-14
 PHASE_JUMP_LIMIT = math.pi / 2
 
 _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
@@ -203,6 +205,26 @@ def convolution_matrix(f: Poly, ncols: int, rows: int) -> np.ndarray:
     return np.concatenate([column] * ncols)[:rows * ncols].reshape(ncols, rows).T.copy()
 
 
+def padded(polys: Iterable[Poly], width: int) -> np.ndarray:
+    """The coefficients of each polynomial as the rows of a
+    ``(len(polys), width)`` array, padded with zeros; a polynomial with
+    more than ``width`` coefficients raises ``ValueError``."""
+    coeffs = [f.coeffs for f in polys]
+    out = np.zeros((len(coeffs), width), dtype=complex)
+    for row, cs in zip(out, coeffs):
+        row[:cs.size] = cs  # numpy refuses to broadcast a longer row
+    return out
+
+
+def summed_norm(coeffs: np.ndarray) -> float:
+    """Sum of the Wiener norms of the rows (last axis) of a coefficient
+    array, adding each row's moduli in order, then the rows in row-major
+    order: the order of ``Poly.wiener_norm`` and the norms built on it, so
+    zero-padded ``Poly`` coefficients read the same bits as the polynomials."""
+    rows = _moduli(coeffs).reshape(-1, coeffs.shape[-1]).tolist()
+    return float(sum(sum(row) for row in rows))
+
+
 def grid_values(polys: Iterable[Poly], size: int) -> np.ndarray:
     """Values of each polynomial at the ``size``-th roots of unity.
 
@@ -211,11 +233,7 @@ def grid_values(polys: Iterable[Poly], size: int) -> np.ndarray:
     The values of ``f(exp(2j*pi*s/size) * z)`` are those of ``f`` rolled by
     ``s`` points, ``np.roll(row, -s)``.
     """
-    coeffs = [f.coeffs for f in polys]
-    padded = np.zeros((len(coeffs), size), dtype=complex)
-    for row, cs in zip(padded, coeffs):
-        row[:cs.size] = cs  # numpy refuses to broadcast a longer row
-    return size * np.fft.ifft(padded, axis=-1)
+    return size * np.fft.ifft(padded(polys, size), axis=-1)
 
 
 def grid_coeffs(values: np.ndarray) -> np.ndarray:
@@ -323,7 +341,7 @@ def sylvester_bezout(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     # the cap admits
     for _ in range(3):
         gap = rhs - system @ sol
-        if float(np.max(np.abs(gap))) < 1e-14:
+        if float(np.max(np.abs(gap))) < REFINEMENT_STOP:
             break
         sol = sol + np.linalg.solve(system, gap)
     p = Poly(sol[:k]) / sf
@@ -337,7 +355,7 @@ def sylvester_bezout(f: Poly, g: Poly) -> tuple[Poly, Poly]:
             prod = np.convolve(cofactor.coeffs, h.coeffs)
             gap[:prod.size] += prod
     gap[0] -= 1.0
-    residual = float(sum(_moduli(gap).tolist()))
+    residual = summed_norm(gap)
     if residual > BEZOUT_RESIDUAL_TOL:
         raise CoprimalityFailure(
             f"Bezout residual {residual:.3e} exceeds {BEZOUT_RESIDUAL_TOL:.0e}",

@@ -14,8 +14,7 @@ import sympy as sp
 
 from crossrank import serialize
 from crossrank.algebra import (AlgMatrix, CrossedElement, GroupSpec,
-                               det_on_circle, index_element, matrix_embedding,
-                               reconstruct)
+                               det_on_circle, index_element, reconstruct)
 from crossrank.bounds import DISK_ALGEBRA_LTSR, stable_rank_bounds
 from crossrank.cli import main
 from crossrank.elimination import (bezout_certificate, eliminate,
@@ -132,7 +131,7 @@ def test_criterion_4_lower_obstructions():
         spec = GroupSpec(n)
         element = CrossedElement.monomial(spec, 0, Poly.monomial(1))
         for samples in (1024, 4096):
-            path = det_on_circle(matrix_embedding(element), samples)
+            path = det_on_circle(element, samples)
             assert winding_number(path) == n
         obs = winding_obstruction(spec, delta, seeded_generator(4000 + n),
                                   samples=1024)

@@ -3,17 +3,18 @@ matrix embedding, and the summed matrix norm."""
 from __future__ import annotations
 
 import cmath
+import functools
+import operator
 
 import numpy as np
 import pytest
 
-from crossrank.algebra import (AlgMatrix, CrossedElement, GroupSpec,
-                               coefficient_array, convolve, det_on_circle, expectation, index_element,
-                               matrix_embedding, matrix_norm_checks,
-                               quasi_basis, reconstruct, summed_norm,
-                               twisted_product)
+from crossrank.algebra import (AlgMatrix, CrossedElement, GroupSpec, convolve,
+                               det_on_circle, embedding_grid, expectation,
+                               index_element, matrix_embedding, quasi_basis,
+                               reconstruct, twisted_product, unit_gap)
 from crossrank.errors import GroupMismatch, VanishingDeterminant
-from crossrank.poly import Poly, circle_points, winding_number
+from crossrank.poly import Poly, circle_points, padded, summed_norm, winding_number
 from crossrank.randomness import random_crossed, random_poly, seeded_generator
 
 
@@ -110,9 +111,26 @@ def test_twisted_product_is_the_untrimmed_convolution():
 def test_summed_norm_reads_the_element_bits():
     rng = seeded_generator(4)
     x = random_crossed(rng, GroupSpec(4), 5)
-    padded = coefficient_array(x, max(c.coeffs.size for c in x.comps) + 3)
-    assert not padded[:, -3:].any()
-    assert summed_norm(padded) == x.l1_norm()
+    rows = padded(x.comps, max(c.coeffs.size for c in x.comps) + 3)
+    assert not rows[:, -3:].any()
+    assert summed_norm(rows) == x.l1_norm()
+    # a matrix of polynomials adds its entries in row-major order
+    mat = AlgMatrix([[random_poly(rng, d) for d in (0, 4, 2)] for _ in range(2)])
+    entries = padded((e for row in mat.entries for e in row), 6).reshape(2, 3, 6)
+    assert summed_norm(entries) == mat.norm_l1()
+
+
+def test_unit_gap_is_the_distance_to_the_unit():
+    rng = seeded_generator(5)
+    spec = GroupSpec(3, 2)
+    pairs = [(random_crossed(rng, spec, d), random_crossed(rng, spec, 2)) for d in (1, 4, 0)]
+    combo = functools.reduce(operator.add, (x * y for x, y in pairs))
+    expected = dist(combo, CrossedElement.unit(spec))
+    assert abs(unit_gap(pairs) - expected) <= 1e-13 * expected
+    # delta^1 * delta^2 = delta^0 exactly; 2 delta^0 * delta^0 misses by 1
+    d1, d2 = CrossedElement.monomial(spec, 1), CrossedElement.monomial(spec, 2)
+    assert unit_gap([(d1, d2)]) == 0.0
+    assert unit_gap([(2.0 * CrossedElement.unit(spec), CrossedElement.unit(spec))]) == 1.0
 
 
 def test_convolve_associative():
@@ -237,15 +255,14 @@ def test_embedding_multiplicative():
 
 def test_det_on_circle_identity():
     spec = GroupSpec(3)
-    path = det_on_circle(matrix_embedding(CrossedElement.unit(spec)), 64)
+    path = det_on_circle(CrossedElement.unit(spec), 64)
     assert all(abs(s - 1) < 1e-12 for s in path.samples)
 
 
 def test_det_on_circle_closed_form_order_two():
     # det pi(z d^0) = z * (-z) = -z^2
     spec = GroupSpec(2)
-    path = det_on_circle(matrix_embedding(
-        CrossedElement.monomial(spec, 0, Poly.monomial(1))), 64)
+    path = det_on_circle(CrossedElement.monomial(spec, 0, Poly.monomial(1)), 64)
     zs = np.exp(2j * np.pi * np.arange(64) / 64)
     assert np.max(np.abs(np.array(path.samples) + zs ** 2)) < 1e-12
 
@@ -253,70 +270,79 @@ def test_det_on_circle_closed_form_order_two():
 def test_det_winding_matches_group_order():
     for n in range(2, 7):
         spec = GroupSpec(n)
-        path = det_on_circle(matrix_embedding(
-            CrossedElement.monomial(spec, 0, Poly.monomial(1))), 1024)
+        path = det_on_circle(CrossedElement.monomial(spec, 0, Poly.monomial(1)), 1024)
         assert winding_number(path) == n
 
 
 def test_det_on_circle_rejects_vanishing():
     spec = GroupSpec(2)
-    mat = matrix_embedding(CrossedElement.monomial(spec, 0, Poly([-1, 0, 1])))
     with pytest.raises(VanishingDeterminant):
-        det_on_circle(mat, 64)
+        det_on_circle(CrossedElement.monomial(spec, 0, Poly([-1, 0, 1])), 64)
 
 
-def _det_loop_by_points(mat: AlgMatrix, samples: int) -> np.ndarray:
-    """Reference loop: Horner values of every entry at each circle point,
-    then one numeric determinant per point."""
+def _det_loop_by_points(x: CrossedElement, samples: int) -> np.ndarray:
+    """Reference loop: Horner values of every entry of ``matrix_embedding(x)``
+    at each circle point, then one numeric determinant per point."""
     zs = circle_points(samples)
-    grid = np.array([[e.eval_on_array(zs) for e in row] for row in mat.entries])
+    grid = np.array([[e.eval_on_array(zs) for e in row]
+                     for row in matrix_embedding(x).entries])
     return np.linalg.det(np.moveaxis(grid, -1, 0))
 
 
 @pytest.mark.parametrize("samples", [64, 1024])
 def test_det_on_circle_matches_pointwise_determinants(samples):
-    # random square matrices that are not embeddings, with entry degrees
-    # differing within a row, so the degree bound is not attained by all
+    # components of differing degrees, so the largest is not attained by all
     rng = seeded_generator(41)
-    for r in range(1, 6):
+    for spec in (GroupSpec(1), GroupSpec(2), GroupSpec(3), GroupSpec(4, 3), GroupSpec(5, 2)):
         for _ in range(4):
-            degrees = rng.integers(0, 7, size=(r, r))
-            mat = AlgMatrix([[random_poly(rng, d) for d in row] for row in degrees])
-            expected = _det_loop_by_points(mat, samples)
-            got = det_on_circle(mat, samples).samples
+            degrees = rng.integers(0, 7, size=spec.n)
+            x = CrossedElement(spec, (random_poly(rng, d) for d in degrees))
+            expected = _det_loop_by_points(x, samples)
+            got = det_on_circle(x, samples).samples
             scale = np.max(np.abs(expected))
             assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
 
 def test_det_on_circle_folds_degree_above_samples():
-    # degree 100 at 64 samples: coefficient k lands in slot k mod 64
-    mat = AlgMatrix([[random_poly(seeded_generator(42), 100)]])
-    expected = _det_loop_by_points(mat, 64)
-    got = det_on_circle(mat, 64).samples
+    # n * d = 3 * 30 >= 64: coefficient k of det pi(x) lands in slot k mod 64
+    rng = seeded_generator(42)
+    x = CrossedElement(GroupSpec(3), (random_poly(rng, d) for d in (30, 12, 25)))
+    expected = _det_loop_by_points(x, 64)
+    got = det_on_circle(x, 64).samples
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    # n = 1: pi(x) is x itself, at degree 100
+    x = CrossedElement(GroupSpec(1), [random_poly(rng, 100)])
+    expected = x.comps[0].eval_on_array(circle_points(64))
+    got = det_on_circle(x, 64).samples
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_det_on_circle_rejects_zero_row():
-    mat = AlgMatrix([[Poly([1.0, 2.0]), Poly([0.5j, 0.0, 3.0])],
-                     [Poly.zero(), Poly.zero()]])
+    # every row of pi(0) is zero
     with pytest.raises(VanishingDeterminant):
-        det_on_circle(mat, 64)
+        det_on_circle(CrossedElement.zero(GroupSpec(3)), 64)
+
+
+def test_embedding_grid_is_the_embedding_at_roots_of_unity():
+    rng = seeded_generator(43)
+    for spec in (GroupSpec(1), GroupSpec(3, 2), GroupSpec(5, 2)):
+        x = CrossedElement(spec, (random_poly(rng, d) for d in rng.integers(0, 5, size=spec.n)))
+        grid = embedding_grid(x)
+        size = spec.n * (max(c.degree for c in x.comps) + 1)
+        assert grid.shape == (size, spec.n, spec.n)
+        zs = np.exp(2j * np.pi * np.arange(size) / size)
+        expected = np.array([[e.eval_on_array(zs) for e in row]
+                             for row in matrix_embedding(x).entries])
+        assert np.max(np.abs(grid - np.moveaxis(expected, -1, 0))) <= 1e-12 * x.l1_norm()
 
 
 def test_matrix_norms_single_entry():
-    m = AlgMatrix([[Poly([1, 2])]])
-    report = matrix_norm_checks(m)
-    assert report.max_entry_norm == report.l1_norm == 3.0
-    assert report.ok
+    assert AlgMatrix([[Poly([1, 2])]]).norm_l1() == 3.0
 
 
 def test_matrix_norms_all_ones():
     one = Poly.one()
-    m = AlgMatrix([[one, one], [one, one]])
-    report = matrix_norm_checks(m)
-    assert report.max_entry_norm == 1.0
-    assert report.l1_norm == 4.0
-    assert report.ok
+    assert AlgMatrix([[one, one], [one, one]]).norm_l1() == 4.0
 
 
 def test_matrix_norm_submultiplicative_random():
@@ -327,6 +353,4 @@ def test_matrix_norm_submultiplicative_random():
                        for _ in range(3)])
         b = AlgMatrix([[random_crossed(rng, spec, 2) for _ in range(3)]
                        for _ in range(3)])
-        report = matrix_norm_checks(a, b)
-        assert report.submultiplicative_ok
-        assert report.ok
+        assert (a * b).norm_l1() <= a.norm_l1() * b.norm_l1() * (1.0 + 1e-12) + 1e-12

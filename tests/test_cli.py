@@ -376,6 +376,16 @@ def test_config_validation(tmp_path):
                  "--out", str(tmp_path / "o.json")]) == 1
 
 
+def test_cert_lower_margin_past_float_factorials(tmp_path, capsys):
+    # 171! overflows a float; the margin check still answers, and the
+    # default epsilon 0.05 fails it at this order
+    out = tmp_path / "o.json"
+    assert main(["cert-lower", "--n", "171", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "margin" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["random", "--n", "abc", "--out", "x"],
     ["cert-upper"],

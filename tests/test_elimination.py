@@ -9,9 +9,8 @@ import pytest
 import sympy as sp
 
 from crossrank import algebra, serialize
-from crossrank.algebra import (CrossedElement, GroupSpec, det_on_circle,
-                               matrix_embedding)
-from crossrank.elimination import (bezout_certificate, closed_form_top_n2,
+from crossrank.algebra import CrossedElement, GroupSpec, matrix_embedding
+from crossrank.elimination import (_check_margin, bezout_certificate, closed_form_top_n2,
                                    closed_form_top_n3, eliminate,
                                    homogeneity_check, perturb_avoiding,
                                    reduced_norm, verify_bezout, verify_winding,
@@ -199,8 +198,12 @@ def test_reduced_norm_adjugate_row(n):
 def test_reduced_norm_is_the_determinant(n):
     a = random_crossed(seeded_generator(60 + n), GroupSpec(n), 4)
     norm, _ = reduced_norm(a)
-    dets = det_on_circle(matrix_embedding(a), 64).samples
-    values = in_z(norm, a.spec).component(0).eval_on_array(circle_points(64))
+    # det pi(a) point by point, from Horner values of the embedding's entries
+    zs = circle_points(64)
+    grid = np.array([[e.eval_on_array(zs) for e in row]
+                     for row in matrix_embedding(a).entries])
+    dets = np.linalg.det(np.moveaxis(grid, -1, 0))
+    values = in_z(norm, a.spec).component(0).eval_on_array(zs)
     assert max(abs(values - dets)) < 1e-12 * max(abs(dets))
 
 
@@ -451,6 +454,16 @@ def test_obstruction_margin_guard():
     with pytest.raises(ValueError):
         winding_obstruction(GroupSpec(2), 0.45, seeded_generator(0))
     winding_obstruction(GroupSpec(2), 0.2, seeded_generator(0))
+
+
+def test_margin_is_exact_past_float_factorials():
+    # 171! overflows a float; the comparison is made in integers
+    _check_margin(171, 1e-10)
+    with pytest.raises(ValueError, match="fails"):
+        _check_margin(171, 0.05)
+    # (1 - delta)^n = n! delta^n exactly at n = 1, delta = 1/2: not strictly greater
+    with pytest.raises(ValueError, match="fails"):
+        _check_margin(1, 0.5)
 
 
 def test_obstruction_sample_counts_agree():
