@@ -20,16 +20,14 @@ from .elimination import (BezoutCertificate, EliminationTrace, ScalingReport,
                           perturb_avoiding, reduced_norm, verify_bezout,
                           verify_winding, winding_obstruction)
 from .errors import (CoprimalityFailure, GroupMismatch, GroupTooSmall,
-                     IllConditionedGram, NonRealImage, OracleFailure,
-                     PerturbationExhausted, ToolkitError, UndersampledPath,
-                     VanishingDeterminant)
+                     NonRealImage, OracleFailure, PerturbationExhausted,
+                     ToolkitError, UndersampledPath, VanishingDeterminant)
 from .liftrank import (LiftResult, TupleLift, disk_column_oracle,
                        left_invertible_lift, lift_generating_tuple)
 from .moebius import (ConjugationResult, FiniteCyclicSubgroup, RotationAction,
-                      SL2RMatrix, SU11Element, average_gram,
-                      conjugate_into_rotations, from_sl2r, make_finite_subgroup,
-                      mobius_apply, nearest_rotation, rotation_action_of,
-                      to_sl2r, verify_conjugation)
+                      SL2RMatrix, SU11Element, conjugate_into_rotations,
+                      make_finite_subgroup, mobius_apply, nearest_rotation,
+                      rotation_action_of, to_sl2r, verify_conjugation)
 from .poly import (CirclePath, Poly, circle_points, rotate, roots,
                    sylvester_bezout, winding_number)
 from .randomness import (random_crossed, random_poly, random_su11,

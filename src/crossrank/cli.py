@@ -22,7 +22,7 @@ from .bounds import stable_rank_bounds
 from .elimination import (VerificationReport, bezout_certificate, verify_bezout,
                           verify_winding, winding_obstruction)
 from .errors import ToolkitError
-from .moebius import CONJUGATION_TOL, make_finite_subgroup, rotation_action_of
+from .moebius import make_finite_subgroup, rotation_action_of, verify_conjugation
 from .randomness import random_crossed, random_su11, seeded_generator
 
 EXIT_OK = 0
@@ -107,9 +107,9 @@ def _cmd_conjugate(args) -> int:
     action = rotation_action_of(subgroup)
     out = serialize.write_file(args.out,
                                serialize.rotation_action_to_obj(action, subgroup))
-    if not action.conjugation.residual < CONJUGATION_TOL:
-        print(f"{out}: conjugation residual {action.conjugation.residual:.3e}",
-              file=sys.stderr)
+    report = verify_conjugation(subgroup, action)
+    if not report.ok:
+        _report_failures(report, str(out))
         return EXIT_MATH
     print(out)
     return EXIT_OK
@@ -138,12 +138,16 @@ def _cmd_random_subgroup(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser, *, epsilon=None, samples=False, degree_cap=False):
-    parser.add_argument("--seed", type=int, default=0,
+def _add_common(parser, *, group=False, epsilon=None, samples=False,
+                degree_cap=False):
+    parser.add_argument("--seed", default=0,
+                        type=_checked(int, lambda v: 0 <= v < 1 << 64,
+                                      "seed must lie in [0, 2^64)"),
                         help="64-bit seed for the counter-based generator")
-    parser.add_argument("--n", type=int, default=2, help="group order")
-    parser.add_argument("--m", type=int, default=1,
-                        help="primitive-root selector, coprime to n")
+    if group:
+        parser.add_argument("--n", type=int, default=2, help="group order")
+        parser.add_argument("--m", type=int, default=1,
+                            help="primitive-root selector, coprime to n")
     if epsilon is not None:
         parser.add_argument("--epsilon", default=epsilon,
                             type=_checked(float, lambda v: v > 0,
@@ -184,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cert-lower",
                        help="winding obstruction against single generators")
-    _add_common(p, epsilon=0.05, samples=True)
+    _add_common(p, group=True, epsilon=0.05, samples=True)
     p.add_argument("--out", required=True, help="obstruction output path")
     p.set_defaults(func=_cmd_cert_lower)
 
@@ -208,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_conjugate)
 
     p = sub.add_parser("random", help="write a reproducible random element pair")
-    _add_common(p, degree_cap=True)
+    _add_common(p, group=True, degree_cap=True)
     p.add_argument("--out", required=True,
                    help="output stem; writes <stem>-x.json and <stem>-y.json")
     p.set_defaults(func=_cmd_random)
@@ -216,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random-subgroup",
                        help="write a reproducible random conjugated subgroup "
                             "of order --n")
-    _add_common(p)
+    _add_common(p, group=True)
     p.add_argument("--out", required=True, help="subgroup output path")
     p.set_defaults(func=_cmd_random_subgroup)
 

@@ -436,6 +436,11 @@ def _check_margin(n: int, delta: float) -> None:
             f"margin (1-delta)^{n} > {n}! * delta^{n} fails for delta={delta}")
 
 
+def _coordinate(spec: GroupSpec) -> CrossedElement:
+    """``z * delta^0``, the one element an obstruction is built and proven for."""
+    return CrossedElement.monomial(spec, 0, Poly.monomial(1))
+
+
 def winding_obstruction(spec: GroupSpec, delta: float, rng: np.random.Generator,
                         samples: int = 1024,
                         seed: int | None = None) -> WindingObstruction:
@@ -448,7 +453,7 @@ def winding_obstruction(spec: GroupSpec, delta: float, rng: np.random.Generator,
     """
     _check_margin(spec.n, delta)
 
-    element = CrossedElement.monomial(spec, 0, Poly.monomial(1))
+    element = _coordinate(spec)
     path = det_on_circle(element, samples)
     w = winding_number(path)
     w_fine = winding_number(det_on_circle(element, 4 * samples))
@@ -485,8 +490,9 @@ def _random_perturbation(spec: GroupSpec, delta: float,
 
 
 def verify_winding(obs: WindingObstruction) -> VerificationReport:
-    """Re-verify an obstruction: recompute the loop at the stored and a
-    quadrupled sample count and compare against stored values.
+    """Re-verify an obstruction: check that its element is ``z * delta^0``,
+    recompute the loop at the stored and a quadrupled sample count and
+    compare against stored values.
 
     The perturbation trials are checked for shape only: one stored winding
     per trial, and a finite positive trial minimum exactly when trials ran.
@@ -494,6 +500,9 @@ def verify_winding(obs: WindingObstruction) -> VerificationReport:
     random trials would cost several times the rest of the check.
     """
     failures = []
+    # the margin (1 - delta)^n > n! delta^n is proven for z * delta^0 only
+    if obs.element != _coordinate(obs.spec):
+        failures.append("element is not z * delta^0")
     if len(obs.trial_windings) != obs.trials:
         failures.append(f"{len(obs.trial_windings)} trial windings for {obs.trials} trials")
     trial_min = obs.trial_circle_min

@@ -74,11 +74,3 @@ class VanishingDeterminant(ToolkitError):
 
 class NonRealImage(ToolkitError):
     """A matrix expected to be real carries a significant imaginary part."""
-
-
-class IllConditionedGram(ToolkitError):
-    """The averaged Gram matrix is too ill-conditioned to invert safely."""
-
-    def __init__(self, message: str, *, condition: float):
-        super().__init__(message)
-        self.condition = condition

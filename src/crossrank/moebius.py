@@ -4,11 +4,11 @@ to rotations.
 A disk automorphism is ``z -> (a z + b) / (conj(b) z + conj(a))`` with
 ``|a|^2 - |b|^2 = 1``; these matrices form SU(1,1), and conjugating by
 ``C = [[1, -i], [1, i]]`` identifies SU(1,1) with SL(2,R), carrying the
-diagonal subgroup U(1) onto the rotations SO(2).  Averaging the Euclidean
-Gram matrix over a finite subgroup produces an invariant inner product
-whose inverse square root conjugates the whole subgroup into U(1); pulled
-back to the disk this turns an arbitrary finite group of automorphisms
-into a rotation action, the form the crossed-product machinery consumes.
+diagonal subgroup U(1) onto the rotations SO(2).  A finite group of disk
+automorphisms fixes one point of the open disk, and the boost taking 0 to
+that point conjugates the whole group into U(1); this turns an arbitrary
+finite group of automorphisms into a rotation action, the form the
+crossed-product machinery consumes.
 
 Signs matter: SU(1,1) double-covers the automorphism group, so group
 orders here always mean orders modulo ``{+1, -1}``, and the disk rotation
@@ -24,14 +24,13 @@ import numpy as np
 
 from .algebra import GroupSpec
 from .elimination import VERIFY_AGREEMENT_TOL, VerificationReport
-from .errors import IllConditionedGram, NonRealImage
+from .errors import NonRealImage, ToolkitError
 from .poly import circle_points
 
 MEMBERSHIP_TOL = 1e-10
 REAL_IMAGE_TOL = 1e-8
 SUBGROUP_POWER_TOL = 1e-8
 CONJUGATION_TOL = 1e-8
-GRAM_CONDITION_CAP = 1e10
 INTERTWINING_SAMPLES = 64
 INTERTWINING_RADIUS = 0.9
 
@@ -51,8 +50,11 @@ class SU11Element:
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
-        drift = abs(abs(self.a) ** 2 - abs(self.b) ** 2 - 1.0)
-        if drift > MEMBERSHIP_TOL:
+        # products, not ** 2: a huge entry squares to inf (then the drift is
+        # inf or NaN and fails) instead of raising OverflowError
+        size_a, size_b = abs(self.a), abs(self.b)
+        drift = abs(size_a * size_a - size_b * size_b - 1.0)
+        if not drift <= MEMBERSHIP_TOL:
             raise ValueError(f"not in SU(1,1): | |a|^2 - |b|^2 - 1 | = {drift:.3e}")
 
     @classmethod
@@ -135,24 +137,20 @@ class SL2RMatrix:
 
 def to_sl2r(g: SU11Element) -> SL2RMatrix:
     """The change-of-model conjugation ``C^{-1} g C``; real with unit
-    determinant, multiplicative, and carrying U(1) onto SO(2)."""
+    determinant, multiplicative, and carrying U(1) onto SO(2).
+
+    Raises ``ToolkitError`` when round-off in the image of a valid element
+    misses the determinant check: the input is sound, double precision
+    is not."""
     img = _C_INV @ g.as_array() @ _C
     worst = float(np.max(np.abs(img.imag)))
     if worst > REAL_IMAGE_TOL:
         raise NonRealImage(
             f"image has imaginary residue {worst:.3e}; input is not in SU(1,1)")
-    return SL2RMatrix.from_array(img.real)
-
-
-def from_sl2r(mat: SL2RMatrix | np.ndarray) -> SU11Element:
-    """Inverse of ``to_sl2r``: pull a real unimodular matrix back to SU(1,1)."""
-    arr = mat.as_array() if isinstance(mat, SL2RMatrix) else np.asarray(mat, dtype=float)
-    pulled = _C @ arr.astype(complex) @ _C_INV
-    a, b = complex(pulled[0, 0]), complex(pulled[0, 1])
-    structure = max(abs(pulled[1, 0] - b.conjugate()), abs(pulled[1, 1] - a.conjugate()))
-    if structure > REAL_IMAGE_TOL:
-        raise NonRealImage(f"pull-back is not SU(1,1)-shaped (residue {structure:.3e})")
-    return SU11Element(a, b)
+    try:
+        return SL2RMatrix.from_array(img.real)
+    except ValueError as exc:
+        raise ToolkitError(f"SL(2,R) image out of double precision: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -201,21 +199,6 @@ def make_finite_subgroup(order: int, h: SU11Element, m: int = 1) -> FiniteCyclic
     seed = SU11Element.u1(math.pi * m / order)
     generator = h * seed * h.inverse()
     return FiniteCyclicSubgroup.build(generator, order)
-
-
-def average_gram(subgroup: FiniteCyclicSubgroup) -> np.ndarray:
-    """Group-averaged Gram matrix ``mean_g pi(g)^T pi(g)``.
-
-    Symmetric positive definite, and a fixed point of the averaged action:
-    ``pi(g)^T T pi(g) = T`` for every element.  Haar measure on a finite
-    group is counting measure, so the average is an exact finite sum; the
-    global sign squares away.
-    """
-    total = np.zeros((2, 2))
-    for g in subgroup.elements:
-        rep = to_sl2r(g).as_array()
-        total += rep.T @ rep
-    return total / len(subgroup.elements)
 
 
 def nearest_rotation(mat: np.ndarray) -> tuple[np.ndarray, float]:
@@ -268,25 +251,28 @@ def _derived_spec(order: int, angles: tuple[float, ...]) -> GroupSpec:
 
 
 def conjugate_into_rotations(subgroup: FiniteCyclicSubgroup) -> ConjugationResult:
-    """Find ``h`` with ``h^{-1} K h`` inside U(1).
+    """Find ``h`` with ``h^{-1} K h`` inside U(1): the boost
+    ``[[1, z0], [conj(z0), 1]] / sqrt(1 - |z0|^2)`` taking 0 to the common
+    fixed point ``z0`` of the subgroup.
 
-    Takes the averaged Gram matrix ``T``, forms ``S = T^{-1/2}`` normalized
-    to determinant one (closed-form symmetric square root via the
-    eigendecomposition), and pulls ``S`` back through the SL(2,R)
-    identification.
+    ``z0`` is read off the element with the smallest ``|Re a|``, which
+    rotates farthest and so has the best-conditioned fixed point.  When
+    ``b == 0``, or when that element has no fixed point inside the disk (a
+    numerically trivial group that passed the closure tolerance), ``h`` is
+    the identity and the residual says how far the group is from rotations.
     """
-    gram = average_gram(subgroup)
-    condition = float(np.linalg.cond(gram))
-    if not np.isfinite(condition) or condition > GRAM_CONDITION_CAP:
-        raise IllConditionedGram(
-            f"Gram condition {condition:.3e} exceeds cap", condition=condition)
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    if np.any(eigvals <= 0):
-        raise IllConditionedGram("Gram matrix is not positive definite",
-                                 condition=condition)
-    inv_sqrt = eigvecs @ np.diag(1.0 / np.sqrt(eigvals)) @ eigvecs.T
-    s = inv_sqrt / math.sqrt(float(np.linalg.det(inv_sqrt)))
-    h = from_sl2r(s)
+    g = min(subgroup.elements, key=lambda e: abs(e.a.real))
+    # the fixed points solve conj(b) z^2 - 2i Im(a) z - b = 0 and multiply to
+    # -b / conj(b); dividing that by the outer root i * outer / conj(b)
+    # gives the inner one with nothing cancelling
+    spread = math.sqrt(max(0.0, 1.0 - g.a.real * g.a.real))
+    outer = g.a.imag + math.copysign(spread, g.a.imag)
+    if abs(g.b) < abs(outer):
+        z0 = 1j * g.b / outer
+        scale = 1.0 / math.sqrt(1.0 - abs(z0) ** 2)
+        h = SU11Element(scale, scale * z0)
+    else:
+        h = SU11Element.identity()
     residual, angles = conjugation_residual(subgroup, h)
     return ConjugationResult(h=h, residual=residual, rotation_angles=angles,
                              order=subgroup.order)

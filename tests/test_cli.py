@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from crossrank import cli, serialize
 from crossrank.algebra import CrossedElement, GroupSpec
 from crossrank.cli import build_parser, main
+from crossrank.moebius import SU11Element, make_finite_subgroup
 
 DATA = Path(__file__).parent / "data"
 
@@ -299,6 +301,60 @@ def test_verify_accepts_stored_certificates(name):
     assert main(["verify", str(DATA / f"{name}.json")]) == 0
 
 
+def test_verify_rejects_obstruction_for_another_element(tmp_path, capsys):
+    # 0.01 * z * delta^0 winds 3 times with circle minimum 1e-6, but the
+    # perturbation -0.01 * z * delta^0 (norm 0.01 < delta = 0.05) reaches 0
+    payload = json.loads((DATA / "winding.json").read_text())
+    payload["element"]["comps"][0] = [[0.0, 0.0], [0.01, 0.0]]
+    payload["circle_min"] = 1e-06
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(json.dumps(payload))
+    assert main(["verify", str(scaled)]) == 2
+    err = capsys.readouterr().err
+    assert "element is not z * delta^0" in err
+    assert "Traceback" not in err
+
+
+def _huge_generator(payload):
+    payload["generator"]["b"] = [1e200, 0]
+
+
+def _huge_subgroup_generator(payload):
+    _huge_generator(payload["subgroup"])
+
+
+@pytest.mark.parametrize("command, tamper", [
+    ("verify", _huge_subgroup_generator),
+    ("conjugate", _huge_generator),
+])
+def test_overflowing_su11_entry_is_malformed(tmp_path, capsys, command, tamper):
+    # |b|^2 overflows a float; membership must fail as malformed input
+    payload = json.loads((DATA / "conjugation.json").read_text())
+    if command == "conjugate":
+        payload = payload["subgroup"]
+    tamper(payload)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    argv = [command, str(path)]
+    if command == "conjugate":
+        argv += ["--out", str(tmp_path / "out.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "not in SU(1,1)" in err
+    assert "Traceback" not in err
+
+
+def test_conjugate_out_of_precision_is_mathematical_failure(tmp_path, capsys):
+    # a valid order-2 subgroup conjugated out by a boost of 4.5: its SL(2,R)
+    # image misses the determinant check by round-off alone
+    K = make_finite_subgroup(2, SU11Element(math.cosh(4.5), math.sinh(4.5)))
+    sub = serialize.write_file(tmp_path / "subgroup.json", serialize.subgroup_to_obj(K))
+    assert main(["conjugate", str(sub), "--out", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "determinant off by" in err
+    assert "Traceback" not in err
+
+
 def test_verify_truncated_json(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text('{"type": "bezout", "n": 2')
@@ -399,6 +455,33 @@ def test_usage_errors_are_malformed_input(argv, capsys):
     err = capsys.readouterr().err
     assert "malformed input" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", str(10 ** 400)], "seed must lie in [0, 2^64)"),
+    (["--seed", "-5"], "seed must lie in [0, 2^64)"),
+    (["--n", "3"], "unrecognized arguments: --n 3"),
+    (["--m", "2"], "unrecognized arguments: --m 2"),
+])
+def test_cert_upper_rejects_flags(tmp_path, capsys, flags, message):
+    # the pair is valid, so only the flag can make cert-upper refuse it
+    stem = tmp_path / "pair"
+    assert main(["random", "--seed", "11", "--n", "2", "--out", str(stem)]) == 0
+    out = tmp_path / "cert.json"
+    assert main(["cert-upper", f"{stem}-x.json", f"{stem}-y.json", *flags,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cert-lower", "random", "random-subgroup"])
+def test_seed_range(tmp_path, command):
+    # seeded_generator keys Philox with 64 bits: 2^64 would alias seed 0
+    out = str(tmp_path / "out")
+    assert main([command, "--seed", str((1 << 64) - 1), "--out", out]) == 0
+    assert main([command, "--seed", str(1 << 64), "--out", out]) == 1
+    assert main([command, "--seed", str(10 ** 400), "--out", out]) == 1
 
 
 @pytest.fixture
