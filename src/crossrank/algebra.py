@@ -13,7 +13,8 @@ and ``unit_gap`` the gap ``|sum x*y - delta^0|``, on untrimmed arrays.
 The module also provides the conditional expectation, the standard
 quasi-basis with its integer index, the n-by-n matrix embedding ``pi`` (and
 ``embedding_grid``, its values at roots of unity, which the determinant
-loop and the reduced norm both read), and matrices with the summed norm.
+loop and the reduced norm both read), and ``AlgMatrix``, the container of
+polynomial entries that the lifts take and return.
 """
 from __future__ import annotations
 
@@ -327,35 +328,26 @@ def det_on_circle(x: CrossedElement, samples: int) -> CirclePath:
     return path
 
 
-def entry_norm(entry) -> float:
-    if isinstance(entry, Poly):
-        return entry.wiener_norm()
-    if isinstance(entry, CrossedElement):
-        return entry.l1_norm()
-    raise TypeError(f"unsupported matrix entry type {type(entry)!r}")
-
-
 class AlgMatrix:
-    """Rectangular matrix over the algebra (polynomial or crossed entries)
-    carrying the summed entry norm, which is submultiplicative."""
+    """Rectangular matrix of polynomials: a shape-checked container for the
+    lifts' inputs and outputs, whose arithmetic ``liftrank`` does on
+    coefficient arrays."""
 
     __slots__ = ("entries",)
 
-    def __init__(self, rows: Sequence[Sequence]):
+    def __init__(self, rows: Sequence[Sequence[Poly]]):
         entries = tuple(tuple(row) for row in rows)
         if not entries or not entries[0]:
             raise ValueError("matrix needs at least one row and column")
         width = len(entries[0])
         if any(len(row) != width for row in entries):
             raise ValueError("ragged rows")
+        if not all(isinstance(e, Poly) for row in entries for e in row):
+            raise TypeError("matrix entries must be Poly values")
         object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgMatrix is immutable")
-
-    @classmethod
-    def identity(cls, dim: int, one, zero) -> AlgMatrix:
-        return cls([[one if i == j else zero for j in range(dim)] for i in range(dim)])
 
     @property
     def rows(self) -> int:
@@ -365,44 +357,8 @@ class AlgMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def entry(self, i: int, j: int):
-        return self.entries[i][j]
-
-    def to_lists(self) -> list[list]:
+    def to_lists(self) -> list[list[Poly]]:
         return [list(row) for row in self.entries]
-
-    def _entrywise(self, other, op):
-        if not isinstance(other, AlgMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return AlgMatrix([[op(a, b) for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)])
-
-    def __add__(self, other: AlgMatrix) -> AlgMatrix:
-        return self._entrywise(other, operator.add)
-
-    def __sub__(self, other: AlgMatrix) -> AlgMatrix:
-        return self._entrywise(other, operator.sub)
-
-    def __mul__(self, other: AlgMatrix) -> AlgMatrix:
-        if not isinstance(other, AlgMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions disagree")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                terms = (self.entries[i][l] * other.entries[l][j]
-                         for l in range(self.cols))
-                row.append(functools.reduce(operator.add, terms))
-            out.append(row)
-        return AlgMatrix(out)
-
-    def norm_l1(self) -> float:
-        """Sum of entry norms."""
-        return float(sum(entry_norm(e) for row in self.entries for e in row))
 
     def __repr__(self) -> str:
         return f"AlgMatrix({self.rows}x{self.cols})"

@@ -3,9 +3,10 @@
 Subcommands generate certificates, re-verify stored ones, evaluate the
 integer bound formulas, conjugate finite symmetry groups into rotations,
 and produce reproducible random inputs.  Exit codes form the contract:
-0 verified, 1 malformed input, 2 mathematical failure.  Standard output
-carries file paths (or the report for ``bounds``); standard error carries
-human-readable diagnostics.
+0 verified, 1 malformed input, 2 mathematical failure.  A certificate
+command writes its payload, then exits as ``verify`` would on that file.
+Standard output carries file paths (or the report for ``bounds``);
+standard error carries human-readable diagnostics.
 """
 from __future__ import annotations
 
@@ -19,10 +20,9 @@ from pathlib import Path
 from . import serialize
 from .algebra import GroupSpec
 from .bounds import stable_rank_bounds
-from .elimination import (VerificationReport, bezout_certificate, verify_bezout,
-                          verify_winding, winding_obstruction)
+from .elimination import bezout_certificate, winding_obstruction
 from .errors import ToolkitError
-from .moebius import make_finite_subgroup, rotation_action_of, verify_conjugation
+from .moebius import make_finite_subgroup, rotation_action_of
 from .randomness import random_crossed, random_su11, seeded_generator
 
 EXIT_OK = 0
@@ -50,9 +50,23 @@ def _checked(convert, accept, message):
     return parse
 
 
-def _report_failures(report: VerificationReport, path: str) -> None:
+def _verify_file(path) -> int:
+    """Re-verify the certificate stored at ``path``, reporting each failure
+    as ``path: failure`` on standard error."""
+    report = serialize.verify_obj(serialize.read_file(path))
     for failure in report.failures:
         print(f"{path}: {failure}", file=sys.stderr)
+    return EXIT_OK if report.ok else EXIT_MATH
+
+
+def _write_verified(path, obj) -> int:
+    """Write a certificate payload and exit as ``verify`` would on the file
+    written, printing its path when it verifies."""
+    out = serialize.write_file(path, obj)
+    code = _verify_file(out)
+    if code == EXIT_OK:
+        print(out)
+    return code
 
 
 def _cmd_cert_upper(args) -> int:
@@ -62,13 +76,7 @@ def _cmd_cert_upper(args) -> int:
         raise ValueError(f"input group specs disagree: {x.spec} vs {y.spec}")
     rng = seeded_generator(args.seed)
     cert = bezout_certificate(x, y, args.epsilon, rng, seed=args.seed)
-    out = serialize.write_file(args.out, serialize.bezout_to_obj(cert))
-    report = verify_bezout(cert)
-    if not report.ok:
-        _report_failures(report, str(out))
-        return EXIT_MATH
-    print(out)
-    return EXIT_OK
+    return _write_verified(args.out, serialize.bezout_to_obj(cert))
 
 
 def _cmd_cert_lower(args) -> int:
@@ -76,23 +84,11 @@ def _cmd_cert_lower(args) -> int:
     rng = seeded_generator(args.seed)
     obs = winding_obstruction(spec, args.epsilon, rng, samples=args.samples,
                               seed=args.seed)
-    out = serialize.write_file(args.out, serialize.winding_to_obj(obs))
-    report = verify_winding(obs)
-    if not report.ok:
-        _report_failures(report, str(out))
-        return EXIT_MATH
-    print(out)
-    return EXIT_OK
+    return _write_verified(args.out, serialize.winding_to_obj(obs))
 
 
 def _cmd_verify(args) -> int:
-    worst = EXIT_OK
-    for path in args.certificate:
-        report = serialize.verify_obj(serialize.read_file(path))
-        if not report.ok:
-            _report_failures(report, str(path))
-            worst = EXIT_MATH
-    return worst
+    return max([_verify_file(path) for path in args.certificate])
 
 
 def _cmd_bounds(args) -> int:
@@ -105,14 +101,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_conjugate(args) -> int:
     subgroup = serialize.subgroup_from_obj(serialize.read_file(args.subgroup))
     action = rotation_action_of(subgroup)
-    out = serialize.write_file(args.out,
-                               serialize.rotation_action_to_obj(action, subgroup))
-    report = verify_conjugation(subgroup, action)
-    if not report.ok:
-        _report_failures(report, str(out))
-        return EXIT_MATH
-    print(out)
-    return EXIT_OK
+    return _write_verified(args.out, serialize.rotation_action_to_obj(action, subgroup))
 
 
 def _cmd_random(args) -> int:
@@ -234,7 +223,8 @@ def main(argv: list[str] | None = None) -> int:
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
-    except (json.JSONDecodeError, OSError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, OSError, KeyError, TypeError, ValueError,
+            MemoryError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 

@@ -135,9 +135,10 @@ def _gated(output: AlgMatrix, left_inverse: AlgMatrix, mat: AlgMatrix,
 
     ``Z X - I`` is summed from ``np.convolve`` products into one zero-padded
     ``(c, c, L)`` array and never trimmed, so the residual is the true
-    ``|Z X - I|``: no round-off below a trim threshold is dropped.  Both
-    norms add the entry norms in row-major order, as ``AlgMatrix.norm_l1``
-    does, so an unperturbed attempt is at distance 0 exactly.
+    ``|Z X - I|``: no round-off below a trim threshold is dropped.  This is
+    the package's only product of matrices.  Both norms are ``summed_norm``
+    of the arrays, the entry norms added in row-major order, so an
+    unperturbed attempt is at distance 0 exactly.
     """
     rows, cols = output.rows, output.cols
     xs, ms = _padded(output, mat)

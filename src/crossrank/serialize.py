@@ -1,14 +1,16 @@
 """Canonical JSON encoding for every persisted object.
 
 Complex numbers are ``[re, im]`` pairs; a polynomial is the array of its
-coefficient pairs indexed by the power of ``z``.  Serialization is
+coefficient pairs indexed by the power of ``z``; a matrix is its shape and
+its polynomial entries in row-major order.  Serialization is
 canonical (sorted keys, the compact separators ``","`` and ``":"`` with no
 whitespace, round-trip-exact floats, one trailing newline), so identical
 data produce byte-identical files.  Reading accepts any JSON whitespace,
 so files written with indentation by earlier releases still read.  Every
 number read must be finite: ``NaN``, ``Infinity``, a float literal that
 overflows (``1e999``) and an integer beyond the float range are malformed
-input, as is a string where a number belongs.  An integer field (a group
+input, as is a string where a number belongs, and so is JSON nested deeper
+than the parser's recursion limit.  An integer field (a group
 order or selector, a winding, a sample or trial count, a matrix shape)
 must hold a JSON integer: a boolean, a string or any float, ``4.0``
 included, is malformed input.  A certificate's top-level ``n`` and ``m``
@@ -65,8 +67,11 @@ def _float_range_int(text: str) -> int:
 
 
 def loads(text: str) -> Any:
-    return json.loads(text, parse_float=_finite_float, parse_int=_float_range_int,
-                      parse_constant=_reject_constant)
+    try:
+        return json.loads(text, parse_float=_finite_float, parse_int=_float_range_int,
+                          parse_constant=_reject_constant)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def read_file(path: str | Path) -> Any:
@@ -283,24 +288,13 @@ def verify_obj(obj) -> VerificationReport:
 # -- matrices and lifts
 
 def matrix_to_obj(mat: AlgMatrix) -> dict:
-    entries = []
-    for row in mat.entries:
-        for e in row:
-            if isinstance(e, Poly):
-                entries.append(poly_to_obj(e))
-            elif isinstance(e, CrossedElement):
-                entries.append(crossed_to_obj(e))
-            else:
-                raise TypeError(f"unsupported entry {type(e)!r}")
-    return {"rows": mat.rows, "cols": mat.cols, "entries": entries}
+    return {"rows": mat.rows, "cols": mat.cols,
+            "entries": [poly_to_obj(e) for row in mat.entries for e in row]}
 
 
 def matrix_from_obj(obj) -> AlgMatrix:
     rows, cols = _integer(obj["rows"]), _integer(obj["cols"])
-    flat = []
-    for entry in obj["entries"]:
-        flat.append(crossed_from_obj(entry) if isinstance(entry, dict)
-                    else poly_from_obj(entry))
+    flat = [poly_from_obj(entry) for entry in obj["entries"]]
     if len(flat) != rows * cols:
         raise ValueError("entry count does not match the declared shape")
     return AlgMatrix([flat[r * cols:(r + 1) * cols] for r in range(rows)])

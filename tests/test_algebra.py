@@ -1,5 +1,5 @@
-"""Crossed-product layer: convolution, norm, expectation, quasi-basis,
-matrix embedding, and the summed matrix norm."""
+"""Crossed-product layer: convolution, norm, expectation, quasi-basis and
+matrix embedding."""
 from __future__ import annotations
 
 import cmath
@@ -117,7 +117,7 @@ def test_summed_norm_reads_the_element_bits():
     # a matrix of polynomials adds its entries in row-major order
     mat = AlgMatrix([[random_poly(rng, d) for d in (0, 4, 2)] for _ in range(2)])
     entries = padded((e for row in mat.entries for e in row), 6).reshape(2, 3, 6)
-    assert summed_norm(entries) == mat.norm_l1()
+    assert summed_norm(entries) == sum(e.wiener_norm() for row in mat.entries for e in row)
 
 
 def test_unit_gap_is_the_distance_to_the_unit():
@@ -230,27 +230,36 @@ def test_embedding_of_unit_is_identity():
     for i in range(3):
         for j in range(3):
             expected = Poly.one() if i == j else Poly.zero()
-            assert (mat.entry(i, j) - expected).wiener_norm() < 1e-14
+            assert (mat.entries[i][j] - expected).wiener_norm() < 1e-14
 
 
 def test_embedding_diagonal_twists():
     spec = GroupSpec(2)
     mat = matrix_embedding(CrossedElement.monomial(spec, 0, Poly.monomial(1)))
-    assert (mat.entry(0, 0) - Poly.monomial(1)).wiener_norm() < 1e-14
-    assert (mat.entry(1, 1) + Poly.monomial(1)).wiener_norm() < 1e-12
-    assert mat.entry(0, 1).is_zero and mat.entry(1, 0).is_zero
+    assert (mat.entries[0][0] - Poly.monomial(1)).wiener_norm() < 1e-14
+    assert (mat.entries[1][1] + Poly.monomial(1)).wiener_norm() < 1e-12
+    assert mat.entries[0][1].is_zero and mat.entries[1][0].is_zero
+
+
+def _embedding_values(x: CrossedElement, zs: np.ndarray) -> np.ndarray:
+    """``pi(x)`` at each point of ``zs``, as a ``(len(zs), n, n)`` array."""
+    grid = np.array([[e.eval_on_array(zs) for e in row]
+                     for row in matrix_embedding(x).entries])
+    return np.moveaxis(grid, -1, 0)
 
 
 def test_embedding_multiplicative():
+    # pi(x * y) has degree at most 6, so its values at 7 points determine it
+    zs = np.exp(2j * np.pi * np.arange(7) / 7)
     rng = seeded_generator(31)
     for n in (2, 3, 4):
         spec = GroupSpec(n)
         for _ in range(10):
             x = random_crossed(rng, spec, 3)
             y = random_crossed(rng, spec, 3)
-            lhs = matrix_embedding(x * y)
-            rhs = matrix_embedding(x) * matrix_embedding(y)
-            assert (lhs - rhs).norm_l1() < 1e-10
+            lhs = _embedding_values(x * y, zs)
+            rhs = _embedding_values(x, zs) @ _embedding_values(y, zs)
+            assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_det_on_circle_identity():
@@ -283,10 +292,7 @@ def test_det_on_circle_rejects_vanishing():
 def _det_loop_by_points(x: CrossedElement, samples: int) -> np.ndarray:
     """Reference loop: Horner values of every entry of ``matrix_embedding(x)``
     at each circle point, then one numeric determinant per point."""
-    zs = circle_points(samples)
-    grid = np.array([[e.eval_on_array(zs) for e in row]
-                     for row in matrix_embedding(x).entries])
-    return np.linalg.det(np.moveaxis(grid, -1, 0))
+    return np.linalg.det(_embedding_values(x, circle_points(samples)))
 
 
 @pytest.mark.parametrize("samples", [64, 1024])
@@ -331,26 +337,5 @@ def test_embedding_grid_is_the_embedding_at_roots_of_unity():
         size = spec.n * (max(c.degree for c in x.comps) + 1)
         assert grid.shape == (size, spec.n, spec.n)
         zs = np.exp(2j * np.pi * np.arange(size) / size)
-        expected = np.array([[e.eval_on_array(zs) for e in row]
-                             for row in matrix_embedding(x).entries])
-        assert np.max(np.abs(grid - np.moveaxis(expected, -1, 0))) <= 1e-12 * x.l1_norm()
-
-
-def test_matrix_norms_single_entry():
-    assert AlgMatrix([[Poly([1, 2])]]).norm_l1() == 3.0
-
-
-def test_matrix_norms_all_ones():
-    one = Poly.one()
-    assert AlgMatrix([[one, one], [one, one]]).norm_l1() == 4.0
-
-
-def test_matrix_norm_submultiplicative_random():
-    rng = seeded_generator(55)
-    spec = GroupSpec(2)
-    for _ in range(20):
-        a = AlgMatrix([[random_crossed(rng, spec, 2) for _ in range(3)]
-                       for _ in range(3)])
-        b = AlgMatrix([[random_crossed(rng, spec, 2) for _ in range(3)]
-                       for _ in range(3)])
-        assert (a * b).norm_l1() <= a.norm_l1() * b.norm_l1() * (1.0 + 1e-12) + 1e-12
+        expected = _embedding_values(x, zs)
+        assert np.max(np.abs(grid - expected)) <= 1e-12 * x.l1_norm()

@@ -68,26 +68,27 @@ def test_cert_lower_order_one(tmp_path):
     assert json.loads(out.read_text())["winding"] == 1
 
 
-def _bezout_source(tmp_path):
+def _bezout_source(tmp_path, code=0):
     stem = tmp_path / "pair"
     assert main(["random", "--seed", "11", "--n", "2", "--out", str(stem)]) == 0
     out = tmp_path / "cert.json"
     assert main(["cert-upper", f"{stem}-x.json", f"{stem}-y.json",
-                 "--seed", "11", "--out", str(out)]) == 0
+                 "--seed", "11", "--out", str(out)]) == code
     return out
 
 
-def _conjugation_source(tmp_path):
+def _conjugation_source(tmp_path, code=0):
     sub = tmp_path / "subgroup.json"
     assert main(["random-subgroup", "--seed", "3", "--n", "4", "--out", str(sub)]) == 0
     out = tmp_path / "conjugation.json"
-    assert main(["conjugate", str(sub), "--out", str(out)]) == 0
+    assert main(["conjugate", str(sub), "--out", str(out)]) == code
     return out
 
 
-def _winding_source(tmp_path):
+def _winding_source(tmp_path, code=0):
     out = tmp_path / "obstruction.json"
-    assert main(["cert-lower", "--n", "3", "--epsilon", "0.05", "--out", str(out)]) == 0
+    assert main(["cert-lower", "--n", "3", "--epsilon", "0.05",
+                 "--out", str(out)]) == code
     return out
 
 
@@ -292,6 +293,31 @@ def test_verify_round_trip_and_corruption(tmp_path, capsys, source, tamper, code
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("writer, source, tamper", [
+    ("bezout_to_obj", _bezout_source, _nudge_cofactor),
+    ("winding_to_obj", _winding_source, _nudge_circle_min),
+    ("rotation_action_to_obj", _conjugation_source, _fake_intertwining),
+], ids=["cert-upper", "cert-lower", "conjugate"])
+def test_certificate_command_exits_as_verify_on_its_file(tmp_path, capsys, monkeypatch,
+                                                         writer, source, tamper):
+    # a writer that damages the payload: the command judges the file it
+    # wrote, not the object it built, so it fails as verify does
+    write = getattr(serialize, writer)
+
+    def damaged(*args):
+        payload = write(*args)
+        tamper(payload)
+        return payload
+
+    monkeypatch.setattr(serialize, writer, damaged)
+    capsys.readouterr()
+    out = source(tmp_path, code=2)
+    captured = capsys.readouterr()
+    assert f"{out}: " in captured.err
+    assert str(out) not in captured.out
+    assert main(["verify", str(out)]) == 2
+
+
 @pytest.mark.parametrize("name", ["bezout", "winding", "conjugation", "bezout-cascade-n3"])
 def test_verify_accepts_stored_certificates(name):
     # written by earlier releases from the commands of the sources above
@@ -359,6 +385,25 @@ def test_verify_truncated_json(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text('{"type": "bezout", "n": 2')
     assert main(["verify", str(broken)]) == 1
+
+
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("command, text", [
+    ("verify", DEEP),
+    ("conjugate", DEEP),
+    ("verify", '{"type": "bezout", "cofactors": ' + DEEP + "}"),
+], ids=["verify", "conjugate", "inside-bezout"])
+def test_deeply_nested_json_is_malformed(tmp_path, capsys, command, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    argv = [command, str(path)]
+    if command == "conjugate":
+        argv += ["--out", str(tmp_path / "out.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err and "Traceback" not in err
 
 
 def test_verify_unknown_type(tmp_path):
@@ -439,6 +484,17 @@ def test_cert_lower_margin_past_float_factorials(tmp_path, capsys):
     assert main(["cert-lower", "--n", "171", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "margin" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unallocatable_sample_count_is_malformed(tmp_path, capsys):
+    # 2^44 complex samples take 256 TiB, beyond a 47-bit user address
+    # space, so the allocation fails at once on any machine
+    out = tmp_path / "o.json"
+    assert main(["cert-lower", "--n", "3", "--samples", str(2 ** 44),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Unable to allocate" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -218,8 +218,6 @@ def test_gate_residual_is_untrimmed():
     mat = AlgMatrix([[random_poly(rng, 3, 0.5) for _ in range(2)] for _ in range(3)])
     res = left_invertible_lift(mat, 0.1, disk_column_oracle, rng)
     assert res.residual == pytest.approx(residual_of(res), rel=1e-12)
-    ident = AlgMatrix.identity(2, Poly.one(), Poly.zero())
-    assert (res.left_inverse * res.output - ident).norm_l1() < 0.7 * res.residual
 
 
 def test_lift_input_where_column_induction_failed():
