@@ -283,20 +283,28 @@ def matrix_embedding(x: CrossedElement) -> "AlgMatrix":
                       for h in range(n)])
 
 
-def embedding_grid(a: CrossedElement) -> np.ndarray:
-    """``pi(a)`` at the ``n*(d+1)`` roots of unity, ``d`` being the largest
-    component degree, as an ``(n*(d+1), n, n)`` array.
+def _top_degree(a: CrossedElement) -> int:
+    """The largest component degree, 0 for the zero element."""
+    return max(max(c.degree for c in a.comps), 0)
+
+
+def embedding_grid(a: CrossedElement, points: int | None = None) -> np.ndarray:
+    """``pi(a)`` at the first ``points`` of the ``n*(d+1)`` roots of unity,
+    ``d`` being the largest component degree, as a ``(points, n, n)`` array;
+    all ``n*(d+1)`` by default.
 
     Slice ``j`` is ``pi(a)`` at ``exp(2j*pi*j/(n*(d+1)))``.  On this grid
     ``alpha^h`` is a roll by ``h*m*(d+1)`` points, so the ``n`` components
     are evaluated once and every entry is a gather.  ``det pi(a)`` has
-    degree at most ``n*d``, below the grid size, so its values here
-    interpolate it exactly.
+    degree at most ``n*d``, below the grid size, so its values on the full
+    grid interpolate it exactly; it is ``D(z**n)`` with ``deg D <= d``, and
+    the first ``d + 1`` points, whose ``z**n`` are the ``(d+1)``-th roots
+    of unity, already determine ``D``.
     """
     spec, n = a.spec, a.spec.n
-    size = n * (max(max(c.degree for c in a.comps), 0) + 1)
+    size = n * (_top_degree(a) + 1)
     values = grid_values(a.comps, size)
-    j = np.arange(size)[:, None, None]
+    j = np.arange(size if points is None else points)[:, None, None]
     h = np.arange(n)[None, :, None]
     k = np.arange(n)[None, None, :]
     # entry (h, k) of pi(a) is alpha^h(a_{k-h}), and alpha^h(f)(z) = f(omega^h z)
@@ -306,21 +314,27 @@ def embedding_grid(a: CrossedElement) -> np.ndarray:
 def det_on_circle(x: CrossedElement, samples: int) -> CirclePath:
     """The loop ``det pi(x)`` at the ``circle_points(samples)``.
 
-    The determinant polynomial is interpolated from its values on
-    ``embedding_grid(x)``; its coefficients, folded modulo ``samples``
-    (exact at the ``samples``-th roots of unity), give the loop with one
-    FFT, so the determinant work does not grow with the sample count.
-    Rejects loops passing through (numerical) zero, which are useless for
-    winding counts.
+    ``det pi(x)(z) = D(z**n)`` with ``deg D <= d``, so ``D`` is interpolated
+    from ``d + 1`` determinants, those of ``embedding_grid(x, d + 1)``.  Its
+    coefficients sit at the multiples of ``n`` in ``z``; folded modulo
+    ``samples`` (exact at the ``samples``-th roots of unity), they give the
+    loop with one FFT, so the determinant work grows neither with the
+    sample count nor with ``n``.  The path records ``sum k*|c_k|`` over the
+    coefficients ``c_k`` in ``z`` as its ``derivative_bound``.  Rejects
+    loops passing through (numerical) zero, which are useless for winding
+    counts.
     """
     if samples < 16:
         raise ValueError("need at least 16 circle points")
-    coeffs = grid_coeffs(np.linalg.det(embedding_grid(x)))
+    n = x.spec.n
+    coeffs = grid_coeffs(np.linalg.det(embedding_grid(x, _top_degree(x) + 1)))
+    powers = n * np.arange(coeffs.size)
     # coefficient k adds into slot k mod samples; the unscaled inverse FFT is
     # ``grid_values`` on raw coefficients, which a Poly would trim
     folded = np.zeros(samples, dtype=complex)
-    np.add.at(folded, np.arange(coeffs.size) % samples, coeffs)
-    path = CirclePath(np.fft.ifft(folded, norm="forward"))
+    np.add.at(folded, powers % samples, coeffs)
+    slope = float(powers @ np.hypot(coeffs.real, coeffs.imag))
+    path = CirclePath(np.fft.ifft(folded, norm="forward"), derivative_bound=slope)
     if path.min_modulus < DET_FLOOR:
         raise VanishingDeterminant(
             f"determinant modulus {path.min_modulus:.3e} below {DET_FLOOR:.0e} "

@@ -29,7 +29,8 @@ Two certificate types live here, and both read ``pi`` from one grid,
   ``algebra.unit_gap``, on zero-padded coefficient arrays, never through
   trimmed ``Poly`` products.
 * ``WindingObstruction`` — the winding number of the determinant loop
-  ``algebra.det_on_circle``, the witness that single elements near the
+  ``algebra.det_on_circle``, proven between samples by
+  ``poly.certified_winding``, the witness that single elements near the
   coordinate function cannot generate (stable rank at least two).
 """
 from __future__ import annotations
@@ -43,8 +44,8 @@ import numpy as np
 from .algebra import (CrossedElement, GroupSpec, det_on_circle, embedding_grid,
                       unit_gap)
 from .errors import CoprimalityFailure, GroupMismatch, GroupTooSmall, PerturbationExhausted
-from .poly import (Poly, grid_coeffs, padded, roots, summed_norm, sylvester_bezout,
-                   winding_number)
+from .poly import (Poly, certified_winding, grid_coeffs, padded, roots, summed_norm,
+                   sylvester_bezout, winding_number)
 
 CERTIFICATE_TOL = 1e-6
 VERIFY_AGREEMENT_TOL = 1e-9
@@ -446,21 +447,17 @@ def winding_obstruction(spec: GroupSpec, delta: float, rng: np.random.Generator,
                         seed: int | None = None) -> WindingObstruction:
     """Build the obstruction for ``z * delta^0`` over the given group.
 
-    Checks the margin with ``_check_margin``, computes the determinant loop
-    winding at ``samples`` and ``4 * samples`` points, and confirms the
-    count survives ten random perturbations of summed norm below
-    ``delta``.
+    Checks the margin with ``_check_margin``, reads the determinant loop's
+    winding at ``samples`` points through ``certified_winding``, which
+    proves the count between samples too (``UndersampledPath`` otherwise),
+    and records the windings of ten random perturbations of summed norm
+    below ``delta``, which are not proven.
     """
     _check_margin(spec.n, delta)
 
     element = _coordinate(spec)
     path = det_on_circle(element, samples)
-    w = winding_number(path)
-    w_fine = winding_number(det_on_circle(element, 4 * samples))
-    if w != w_fine:
-        raise ValueError(
-            f"winding disagrees across sample counts ({w} vs {w_fine}); "
-            "raise the sample count")
+    w = certified_winding(path)
 
     trial_windings, trial_lows = [], []
     for _ in range(10):
@@ -491,8 +488,8 @@ def _random_perturbation(spec: GroupSpec, delta: float,
 
 def verify_winding(obs: WindingObstruction) -> VerificationReport:
     """Re-verify an obstruction: check that its element is ``z * delta^0``,
-    recompute the loop at the stored and a quadrupled sample count and
-    compare against stored values.
+    recompute the loop at the stored sample count, prove its winding between
+    samples with ``certified_winding``, and compare against stored values.
 
     The perturbation trials are checked for shape only: one stored winding
     per trial, and a finite positive trial minimum exactly when trials ran.
@@ -512,12 +509,9 @@ def verify_winding(obs: WindingObstruction) -> VerificationReport:
     try:
         _check_margin(obs.spec.n, obs.delta)
         path = det_on_circle(obs.element, obs.samples)
-        w = winding_number(path)
-        w_fine = winding_number(det_on_circle(obs.element, 4 * obs.samples))
+        w = certified_winding(path)
         if w != obs.winding:
             failures.append(f"stored winding {obs.winding} != recomputed {w}")
-        if w_fine != obs.winding:
-            failures.append(f"winding changed at 4x samples: {w_fine}")
         if not abs(path.min_modulus - obs.circle_min) <= VERIFY_AGREEMENT_TOL:
             failures.append(
                 f"stored circle minimum {obs.circle_min:.12e} disagrees with "

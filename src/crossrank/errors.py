@@ -57,11 +57,16 @@ class OracleFailure(ToolkitError):
 
 
 class UndersampledPath(ToolkitError):
-    """Consecutive path samples turn too fast for a reliable winding count."""
+    """A winding count cannot be trusted at the sample count: consecutive
+    samples turn too fast (``max_jump``), or the loop could reach zero
+    between samples (``bound``, the largest distance it may stray from a
+    sample, is not below its smallest sample modulus)."""
 
-    def __init__(self, message: str, *, max_jump: float):
+    def __init__(self, message: str, *, max_jump: float | None = None,
+                 bound: float | None = None):
         super().__init__(message)
         self.max_jump = max_jump
+        self.bound = bound
 
 
 class VanishingDeterminant(ToolkitError):

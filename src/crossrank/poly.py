@@ -369,9 +369,15 @@ class CirclePath:
     """Values of a function at equispaced points ``exp(2*pi*i*k/m)`` on the
     unit circle, the discrete loop that winding numbers are read from; the
     samples are a read-only complex128 array, and ``min_modulus``, the
-    smallest sample modulus, is taken once on construction."""
+    smallest sample modulus, is taken once on construction.
+
+    ``derivative_bound`` bounds ``|f'|`` on the circle; a polynomial loop
+    ``sum c_k z**k`` records ``sum k*|c_k|``.  A path built from samples
+    alone keeps the default ``inf``, so ``certified_winding`` never accepts
+    it."""
 
     samples: np.ndarray
+    derivative_bound: float = math.inf
     min_modulus: float = field(init=False)
 
     def __post_init__(self):
@@ -411,3 +417,25 @@ def winding_number(path: CirclePath) -> int:
         raise UndersampledPath(
             f"total phase {turns:.6f} turns is not an integer", max_jump=max_jump)
     return int(nearest)
+
+
+def certified_winding(path: CirclePath) -> int:
+    """``winding_number(path)``, proven to be the winding of the continuous
+    loop and not only of its samples.
+
+    Every point of the circle lies within arc length ``pi/m`` of a sample,
+    so the loop stays within ``bound = pi/m * derivative_bound`` of that
+    sample.  If ``min_modulus > bound``, each half arc between neighbouring
+    samples stays in a disk around its sample that misses zero, so the loop
+    neither crosses zero nor turns by ``pi`` or more between samples, and
+    the sampled count is the true one.  Otherwise raises
+    ``UndersampledPath``.
+    """
+    w = winding_number(path)
+    m = path.samples.size
+    bound = math.pi / m * path.derivative_bound
+    if not path.min_modulus > bound:
+        raise UndersampledPath(
+            f"minimum modulus {path.min_modulus:.3e} <= between-samples bound "
+            f"{bound:.3e} at {m} samples; increase the sample count", bound=bound)
+    return w

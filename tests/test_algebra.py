@@ -323,6 +323,40 @@ def test_det_on_circle_folds_degree_above_samples():
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("spec, degrees, samples", [
+    pytest.param(GroupSpec(1), (6,), 64, id="n1"),
+    pytest.param(GroupSpec(5, 2), (3, 0, 4, 1, 2), 64, id="n5-m2"),
+    pytest.param(GroupSpec(3), (30, 12, 25), 64, id="fold"),
+])
+def test_det_on_circle_takes_d_plus_one_determinants(monkeypatch, spec, degrees, samples):
+    # det pi(x)(z) = D(z^n) with deg D <= d: d + 1 points determine it
+    rng = seeded_generator(44)
+    x = CrossedElement(spec, (random_poly(rng, d) for d in degrees))
+    batches = []
+    det = np.linalg.det
+
+    def counting(a):
+        batches.append(a.shape[0])
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counting)
+    got = det_on_circle(x, samples).samples
+    monkeypatch.undo()
+    assert batches == [max(degrees) + 1]
+    expected = _det_loop_by_points(x, samples)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_det_on_circle_records_derivative_bound():
+    # det pi(z d^0) = +-z^n, so sum k |c_k| = n
+    for n in (1, 2, 5, 8):
+        path = det_on_circle(CrossedElement.monomial(GroupSpec(n), 0, Poly.monomial(1)), 64)
+        assert abs(path.derivative_bound - n) <= 1e-12 * n
+    # n = 1, 1 + 0.5 z^24: 24 * 0.5
+    x = CrossedElement(GroupSpec(1), [Poly.monomial(24, 0.5) + Poly.constant(1.0)])
+    assert abs(det_on_circle(x, 64).derivative_bound - 12.0) <= 1e-12
+
+
 def test_det_on_circle_rejects_zero_row():
     # every row of pi(0) is zero
     with pytest.raises(VanishingDeterminant):
@@ -339,3 +373,12 @@ def test_embedding_grid_is_the_embedding_at_roots_of_unity():
         zs = np.exp(2j * np.pi * np.arange(size) / size)
         expected = _embedding_values(x, zs)
         assert np.max(np.abs(grid - expected)) <= 1e-12 * x.l1_norm()
+
+
+def test_embedding_grid_prefix_is_the_full_grid_cut():
+    rng = seeded_generator(45)
+    for spec in (GroupSpec(1), GroupSpec(3, 2), GroupSpec(5, 2)):
+        x = CrossedElement(spec, (random_poly(rng, d) for d in rng.integers(0, 5, size=spec.n)))
+        full = embedding_grid(x)
+        for k in (1, max(c.degree for c in x.comps) + 1, full.shape[0]):
+            assert np.array_equal(embedding_grid(x, k), full[:k])

@@ -1,15 +1,20 @@
 """Command-line contract: exit codes, file outputs, determinism."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossrank import cli, serialize
 from crossrank.algebra import CrossedElement, GroupSpec
 from crossrank.cli import build_parser, main
+from crossrank.elimination import VERIFY_AGREEMENT_TOL
 from crossrank.moebius import SU11Element, make_finite_subgroup
 
 DATA = Path(__file__).parent / "data"
@@ -339,6 +344,89 @@ def test_verify_rejects_obstruction_for_another_element(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "element is not z * delta^0" in err
     assert "Traceback" not in err
+
+
+WINDING = json.loads((DATA / "winding.json").read_text())
+# every key verify reads; "seed" and "trial_circle_min" may be absent
+WINDING_KEYS = ("type", "n", "m", "element", "circle_min", "winding", "samples",
+                "delta", "trials", "trial_windings")
+WINDING_NUMBERS = [(key,) for key in ("n", "m", "circle_min", "winding", "samples", "delta",
+                                      "trials", "trial_circle_min", "seed")] + [
+    ("trial_windings", 0), ("element", "n"), ("element", "m"), ("element", "comps", 0, 1, 0)]
+
+
+def _verify_payload(path: Path, payload) -> tuple[int, str]:
+    path.write_text(json.dumps(payload))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["verify", str(path)])
+    return code, err.getvalue()
+
+
+def _set(payload, where, value):
+    *parents, last = where
+    for key in parents:
+        payload = payload[key]
+    payload[last] = value
+
+
+_circle_min_moved = st.builds(
+    lambda shift, sign: ("circle_min", WINDING["circle_min"] + sign * shift),
+    st.floats(2 * VERIFY_AGREEMENT_TOL, 1e6), st.sampled_from((-1.0, 1.0)))
+_other_winding = st.tuples(
+    st.just("winding"), st.integers(-2 ** 53, 2 ** 53).filter(lambda w: w != WINDING["winding"]))
+# at n = 3 the margin (1 - delta)^3 > 6 delta^3 fails from delta ~ 0.355 on
+_broken_delta = st.tuples(st.just("delta"), st.one_of(st.floats(-1e300, 0.0),
+                                                      st.floats(0.36, 1e300)))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.one_of(_circle_min_moved, _other_winding, _broken_delta))
+def test_winding_value_tamper_exits_2(tmp_path_factory, change):
+    key, value = change
+    payload = json.loads(json.dumps(WINDING))
+    payload[key] = value
+    code, err = _verify_payload(tmp_path_factory.getbasetemp() / "tampered-winding.json",
+                                payload)
+    assert code == 2
+    assert "Traceback" not in err
+
+
+_not_a_number = st.one_of(st.text(max_size=8),
+                          st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                   max_size=3))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.one_of(st.tuples(st.just("remove"), st.sampled_from(WINDING_KEYS)),
+                 st.tuples(st.sampled_from(WINDING_NUMBERS), _not_a_number)))
+def test_winding_structure_tamper_exits_1(tmp_path_factory, change):
+    payload = json.loads(json.dumps(WINDING))
+    if change[0] == "remove":
+        del payload[change[1]]
+    else:
+        _set(payload, *change)
+    code, err = _verify_payload(tmp_path_factory.getbasetemp() / "damaged-winding.json",
+                                payload)
+    assert code == 1
+    assert "Traceback" not in err
+
+
+def test_cert_lower_phase_jump_exits_2(tmp_path, capsys):
+    # z^16 turns by pi/2 between 64 samples
+    out = tmp_path / "o.json"
+    assert main(["cert-lower", "--n", "16", "--samples", "64", "--out", str(out)]) == 2
+    assert "phase jump" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cert_lower_order_171(tmp_path):
+    # d + 1 = 2 determinants of 171 x 171, whatever the sample count
+    out = tmp_path / "o.json"
+    assert main(["cert-lower", "--n", "171", "--epsilon", "1e-10", "--samples", "1024",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["winding"] == 171
+    assert main(["verify", str(out)]) == 0
 
 
 def _huge_generator(payload):

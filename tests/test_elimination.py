@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from crossrank import algebra, serialize
+from crossrank import algebra, elimination, serialize
 from crossrank.algebra import CrossedElement, GroupSpec, matrix_embedding
-from crossrank.elimination import (_check_margin, bezout_certificate, closed_form_top_n2,
+from crossrank.cli import main
+from crossrank.elimination import (WindingObstruction, _check_margin, _coordinate,
+                                   bezout_certificate, closed_form_top_n2,
                                    closed_form_top_n3, eliminate,
                                    homogeneity_check, perturb_avoiding,
                                    reduced_norm, verify_bezout, verify_winding,
                                    winding_obstruction)
-from crossrank.errors import CoprimalityFailure, GroupTooSmall
-from crossrank.poly import Poly, circle_points, roots
+from crossrank.errors import CoprimalityFailure, GroupTooSmall, UndersampledPath
+from crossrank.poly import Poly, certified_winding, circle_points, roots, winding_number
 from crossrank.randomness import random_crossed, seeded_generator
 
 
@@ -471,6 +473,44 @@ def test_obstruction_sample_counts_agree():
     obs = winding_obstruction(GroupSpec(4), 0.05, rng, samples=1024)
     fresh = winding_obstruction(GroupSpec(4), 0.05, seeded_generator(11), samples=4096)
     assert obs.winding == fresh.winding == 4
+
+
+def test_coordinate_loop_passes_the_gate_below_a_quarter_of_the_samples():
+    # |det| = 1 and sum k |c_k| = n, so the gate 1 > pi * n / 64 holds
+    for n in range(1, 16):
+        assert certified_winding(algebra.det_on_circle(_coordinate(GroupSpec(n)), 64)) == n
+
+
+def _fast_loop_element() -> CrossedElement:
+    # 1 + 0.5 z^24 at 64 samples: phase jumps reach only 0.96 rad, under the
+    # pi/2 guard, but the between-samples bound 12 * pi / 64 ~ 0.59 exceeds
+    # the minimum modulus 0.5
+    return CrossedElement(GroupSpec(1), [Poly.monomial(24, 0.5) + Poly.constant(1.0)])
+
+
+def test_gate_rejects_a_loop_the_jump_guard_passes(tmp_path, capsys, monkeypatch):
+    path = algebra.det_on_circle(_fast_loop_element(), 64)
+    jumps = np.angle(np.roll(path.samples, -1) / path.samples)
+    assert 0.9 < np.max(np.abs(jumps)) < np.pi / 2
+    assert winding_number(path) == 0
+    with pytest.raises(UndersampledPath, match="minimum modulus 5.000e-01") as info:
+        certified_winding(path)
+    assert info.value.bound == pytest.approx(12 * np.pi / 64)
+
+    # the writer raises (cert-lower exits 2), and the verifier reports a failure line
+    monkeypatch.setattr(elimination, "_coordinate", lambda spec: _fast_loop_element())
+    with pytest.raises(UndersampledPath):
+        winding_obstruction(GroupSpec(1), 0.05, seeded_generator(0), samples=64)
+    out = tmp_path / "o.json"
+    capsys.readouterr()
+    assert main(["cert-lower", "--n", "1", "--samples", "64", "--out", str(out)]) == 2
+    assert ("minimum modulus 5.000e-01 <= between-samples bound 5.890e-01 at 64 samples"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    obs = WindingObstruction(element=_fast_loop_element(), circle_min=0.5, winding=0,
+                             samples=64, delta=0.05, trials=0, trial_windings=())
+    failures = verify_winding(obs).failures
+    assert any("between-samples bound" in f and "64 samples" in f for f in failures)
 
 
 def test_obstruction_verification_catches_tampering():

@@ -2,15 +2,17 @@
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 import pytest
 
 from crossrank import poly as poly_module
 from crossrank.errors import CoprimalityFailure, UndersampledPath
-from crossrank.poly import (CirclePath, Poly, circle_points, convolution_matrix,
-                            grid_coeffs, grid_values, min_separation, rotate,
-                            roots, sylvester_bezout, winding_number)
+from crossrank.poly import (CirclePath, Poly, certified_winding, circle_points,
+                            convolution_matrix, grid_coeffs, grid_values,
+                            min_separation, rotate, roots, sylvester_bezout,
+                            winding_number)
 from crossrank.randomness import random_poly, seeded_generator
 
 
@@ -362,6 +364,19 @@ def test_winding_undersampled_guard():
     path = path_of(Poly.monomial(9), 32)
     with pytest.raises(UndersampledPath):
         winding_number(path)
+
+
+def test_certified_winding_needs_a_derivative_bound():
+    # samples alone prove nothing between them
+    path = path_of(Poly.monomial(2), 64)
+    assert winding_number(path) == 2
+    with pytest.raises(UndersampledPath, match="bound inf at 64 samples"):
+        certified_winding(path)
+    # |(z^2)'| = 2 on the circle: 1 > 2 * pi / 64
+    assert certified_winding(CirclePath(path.samples, derivative_bound=2.0)) == 2
+    with pytest.raises(UndersampledPath) as info:
+        certified_winding(CirclePath(path.samples, derivative_bound=128 / math.pi))
+    assert info.value.bound == pytest.approx(2.0)
 
 
 def test_min_modulus_taken_once(monkeypatch):
