@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -62,10 +63,12 @@ def test_least_squares_row_passes():
 
 
 def test_lift_raises_when_least_squares_solve_misses(monkeypatch):
-    def missing_lstsq(a, b, rcond=None):
-        return np.zeros((a.shape[1],) + b.shape[1:], dtype=complex), None, 0, None
+    # the minimum-norm solve is Q R^-H b: a triangular solve that returns
+    # zeros leaves Z = 0 on every attempt
+    def missing_solve(a, b):
+        return np.zeros(b.shape, dtype=complex)
 
-    monkeypatch.setattr(np.linalg, "lstsq", missing_lstsq)
+    monkeypatch.setattr(np.linalg, "solve", missing_solve)
     rng = seeded_generator(5100)
     mat = AlgMatrix([[random_poly(rng, 3, 0.5) for _ in range(2)] for _ in range(3)])
     with pytest.raises(OracleFailure) as info:
@@ -233,6 +236,60 @@ def test_lift_input_where_column_induction_failed():
     res = left_invertible_lift(mat, 0.1, disk_column_oracle, rng)
     assert res.residual < 1e-12
     assert res.distance == 0.0
+
+
+@pytest.mark.parametrize("entries", [
+    # the second column is constant: its block of equations ends three
+    # coefficients before the first column's, and rows past the longest
+    # product would be exactly zero
+    [[Poly([.3, .2, .1, .05]), Poly([1])], [Poly([.1, -.4, .2]), Poly([.5])],
+     [Poly([.2, .1, .1, .3]), Poly([-.7])]],
+    [[Poly([.3, .2, .1, .05]), Poly([.4, .1])], [Poly([]), Poly([.5, -.2, .3])],
+     [Poly([.2, .1, .1, .3]), Poly([-.7, .6])]],
+    [[Poly([1]), Poly([])], [Poly([]), Poly([1])], [Poly([]), Poly([])]],
+], ids=["col1-constant", "zero-entry", "identity"])
+def test_lift_unperturbed_with_columns_of_lower_degree(entries):
+    mat = AlgMatrix(entries)
+    res = left_invertible_lift(mat, 0.1, disk_column_oracle, seeded_generator(0))
+    assert res.distance == 0.0
+    assert res.residual <= liftrank.LEVEL_ACCEPT_RESIDUAL
+    assert abs(residual_of(res) - res.residual) < 1e-9
+
+
+def test_lift_perturbs_column_vanishing_at_zero():
+    # every entry of the first column vanishes at 0, so the constant
+    # coefficient's equation has no unknown and the factor is singular
+    z = Poly.monomial(1)
+    mat = AlgMatrix([[z, Poly.one()], [z * z, Poly([1, .3])], [Poly([0, .5]), Poly([2])]])
+    assert liftrank._left_inverse(mat.to_lists()) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = left_invertible_lift(mat, 0.1, disk_column_oracle, seeded_generator(1))
+    assert 0.0 < res.distance < 0.1
+    assert res.residual <= liftrank.LEVEL_ACCEPT_RESIDUAL
+
+
+def test_order_fourteen_lift_factors_each_system_once(monkeypatch):
+    calls = {"left_inverse": 0, "qr": 0, "solve": 0}
+
+    def counting(name, func):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(liftrank, "_left_inverse",
+                        counting("left_inverse", liftrank._left_inverse))
+    monkeypatch.setattr(np.linalg, "qr", counting("qr", np.linalg.qr))
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+    rng = seeded_generator(14001)
+    spec = GroupSpec(14)
+    b = [random_crossed(rng, spec, 3) for _ in range(15)]
+    result = lift_generating_tuple(b, 0.1, rng)
+    assert result.lift.residual <= liftrank.LEVEL_ACCEPT_RESIDUAL
+    assert result.lift.distance == 0.0
+    # one solve and four refinement rounds, all from the one factorization
+    assert calls == {"left_inverse": 1, "qr": 1, "solve": 5}
 
 
 @pytest.mark.parametrize("rows", [5, 6])
